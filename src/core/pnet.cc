@@ -268,7 +268,9 @@ LoadedNet LoadPnet(std::string_view text) {
       spec.delay_compiled = delay_sp;
       spec.delay = [delay_sp](const TokenRefs& tokens) -> Cycles {
         const double v = EvalNetExpr(*delay_sp, tokens);
-        PI_CHECK_MSG(v >= 0 && v < 1e15, "delay out of range");
+        if (!(v >= 0 && v < 1e15)) {
+          return kBadDelay;  // the workload drove the expression out of range
+        }
         return static_cast<Cycles>(std::llround(v));
       };
 

@@ -49,6 +49,17 @@ obs::MetricsRegistry::Counter& BytesTxTotal() {
   return c;
 }
 
+obs::MetricsRegistry::Counter& WriteCallsTotal() {
+  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "perfiface_net_write_calls_total",
+      "send() calls made by the TCP front end (one per call, retries included)");
+  return c;
+}
+
+// A connection's output buffer keeps its capacity across sends; past this
+// it is released after the send so one huge pass does not pin memory.
+constexpr std::size_t kMaxRetainedOutBytes = 1 << 20;
+
 obs::MetricsRegistry::Counter& FramesMalformedTotal() {
   static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_net_frames_malformed_total",
@@ -109,6 +120,7 @@ NetServer::NetServer(serve::PredictionService* service, NetServerOptions options
   ConnectionsRejectedTotal();
   BytesRxTotal();
   BytesTxTotal();
+  WriteCallsTotal();
   FramesMalformedTotal();
   BatchesRejectedTotal();
   metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
@@ -264,13 +276,10 @@ void NetServer::Stop() {
   listen_fd_ = -1;
 }
 
-void NetServer::TimedWrite(Connection* conn, std::string_view data) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->dead.load(std::memory_order_relaxed)) {
-    return;
-  }
+void NetServer::SendLocked(Connection* conn, std::string_view data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
+    WriteCallsTotal().Increment();
     const ssize_t n =
         ::send(conn->fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
@@ -289,6 +298,47 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
     break;
   }
   BytesTxTotal().Add(sent);
+}
+
+void NetServer::TimedWrite(Connection* conn, std::string_view data) {
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  if (conn->dead.load(std::memory_order_relaxed)) {
+    return;
+  }
+  SendLocked(conn, data);
+}
+
+void NetServer::FlushLocked(Connection* conn) {
+  if (!conn->dead.load(std::memory_order_relaxed)) {
+    SendLocked(conn, conn->out);
+  }
+  conn->out.clear();
+  if (conn->out.capacity() > kMaxRetainedOutBytes) {
+    std::string().swap(conn->out);
+  }
+}
+
+template <typename Encode>
+void NetServer::WriteLines(Connection* conn, const Encode& encode) {
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  if (conn->dead.load(std::memory_order_relaxed)) {
+    return;
+  }
+  encode(&conn->out);
+  if (!conn->corked) {
+    FlushLocked(conn);
+  }
+}
+
+void NetServer::Cork(Connection* conn) {
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  conn->corked = true;
+}
+
+void NetServer::Uncork(Connection* conn) {
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  conn->corked = false;
+  FlushLocked(conn);
 }
 
 void NetServer::DrainInflight(Connection* conn) {
@@ -326,19 +376,17 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     std::string error;
     if (!DecodeRequestFrame(frame, &id, &requests, &error)) {
       FramesMalformedTotal().Increment();
-      std::string line;
-      EncodeMalformedLine(id, error, &line);
-      TimedWrite(conn.get(), line);
+      WriteLines(conn.get(), [&](std::string* out) { EncodeMalformedLine(id, error, out); });
       return;
     }
     if (requests.size() > options_.max_batch_requests) {
       FramesMalformedTotal().Increment();
-      std::string line;
-      EncodeMalformedLine(
-          id, StrFormat("frame has %zu requests; limit is %zu", requests.size(),
-                        options_.max_batch_requests),
-          &line);
-      TimedWrite(conn.get(), line);
+      WriteLines(conn.get(), [&](std::string* out) {
+        EncodeMalformedLine(id,
+                            StrFormat("frame has %zu requests; limit is %zu", requests.size(),
+                                      options_.max_batch_requests),
+                            out);
+      });
       return;
     }
     FillTraceIds(&requests);
@@ -362,21 +410,21 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
         // tenant, and explain-flagged requests still get an explain block
         // — a shared anonymous response once dropped all three, so a
         // pipelined client could not attribute the rejections.
-        std::string lines;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-          serve::PredictResponse rejected;
-          rejected.status = serve::PredictStatus::kRejected;
-          rejected.error = "too many batches in flight on this connection";
-          rejected.trace_id = requests[i].trace_id;
-          rejected.tenant = requests[i].tenant;
-          if (requests[i].explain) {
-            rejected.explain.filled = true;
-            rejected.explain.representation = "rejected";
-            rejected.explain.cache = "not_consulted";
+        WriteLines(conn.get(), [&](std::string* out) {
+          for (std::size_t i = 0; i < requests.size(); ++i) {
+            serve::PredictResponse rejected;
+            rejected.status = serve::PredictStatus::kRejected;
+            rejected.error = "too many batches in flight on this connection";
+            rejected.trace_id = requests[i].trace_id;
+            rejected.tenant = requests[i].tenant;
+            if (requests[i].explain) {
+              rejected.explain.filled = true;
+              rejected.explain.representation = "rejected";
+              rejected.explain.cache = "not_consulted";
+            }
+            EncodeResponseLine(id, i, rejected, out);
           }
-          EncodeResponseLine(id, i, rejected, &lines);
-        }
-        TimedWrite(conn.get(), lines);
+        });
         return;
       }
       ++conn->inflight;
@@ -388,9 +436,9 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     service_->SubmitBatch(
         std::move(requests),
         [this, conn, id, remaining](std::size_t index, const serve::PredictResponse& response) {
-          std::string line;
-          EncodeResponseLine(id, index, response, &line);
-          TimedWrite(conn.get(), line);
+          WriteLines(conn.get(), [&](std::string* out) {
+            EncodeResponseLine(id, index, response, out);
+          });
           if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
             std::lock_guard<std::mutex> lock(conn->inflight_mu);
             --conn->inflight;
@@ -436,6 +484,11 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     BytesRxTotal().Add(static_cast<std::uint64_t>(n));
     reader.Append(buf.data(), static_cast<std::size_t>(n));
 
+    // One read pass: every frame this recv completed is answered into the
+    // corked buffer (cache hits resolve inline, during SubmitBatch), then
+    // the lot leaves in one send loop. Misses finishing after Uncork are
+    // sent by their worker at once.
+    Cork(conn.get());
     std::string frame;
     for (;;) {
       const FrameReader::Next next = reader.Pop(&frame);
@@ -444,15 +497,16 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       }
       if (next == FrameReader::Next::kOversized) {
         FramesMalformedTotal().Increment();
-        std::string line;
-        EncodeMalformedLine(
-            0, StrFormat("frame exceeds max_frame_bytes (%zu)", options_.max_frame_bytes),
-            &line);
-        TimedWrite(conn.get(), line);
+        WriteLines(conn.get(), [&](std::string* out) {
+          EncodeMalformedLine(
+              0, StrFormat("frame exceeds max_frame_bytes (%zu)", options_.max_frame_bytes),
+              out);
+        });
         continue;
       }
       handle_frame(frame);
     }
+    Uncork(conn.get());
     if (conn->dead.load(std::memory_order_relaxed)) {
       break;
     }

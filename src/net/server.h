@@ -94,8 +94,16 @@ class NetServer {
     std::thread thread;
     std::atomic<bool> finished{false};  // thread done; reapable
 
-    // Serializes response lines from worker callbacks and the reader.
+    // Serializes response lines from worker callbacks and the reader, and
+    // guards the two fields below.
     std::mutex write_mu;
+    // Response bytes encoded but not yet sent. Every line is encoded
+    // straight into it; kept across sends so its capacity is reused.
+    std::string out;
+    // Set by the reader for one read pass: lines (inline cache hits, and
+    // any worker completions meanwhile) collect in `out` and leave in one
+    // send loop when the pass ends. Uncorked, a line is sent at once.
+    bool corked = false;
     // Set when a write times out or fails: subsequent writes become
     // no-ops, so stuck peers cannot stall the worker pool.
     std::atomic<bool> dead{false};
@@ -113,6 +121,19 @@ class NetServer {
   // Writes all of `data`, respecting io_timeout_ms per poll; on failure
   // marks the connection dead and half-closes it so the reader unblocks.
   void TimedWrite(Connection* conn, std::string_view data);
+  // Encodes response lines into the connection's output buffer through
+  // `encode(std::string*)` and, unless the reader has corked it, sends the
+  // buffer at once. A no-op on a dead connection.
+  template <typename Encode>
+  static void WriteLines(Connection* conn, const Encode& encode);
+  // Corks the output buffer for one read pass; Uncork sends what the pass
+  // (and any worker completions during it) encoded, in one send loop.
+  static void Cork(Connection* conn);
+  static void Uncork(Connection* conn);
+  // With write_mu held: SendLocked sends all of `data` (the body of
+  // TimedWrite); FlushLocked sends and empties the output buffer.
+  static void SendLocked(Connection* conn, std::string_view data);
+  static void FlushLocked(Connection* conn);
   // Blocks until every batch submitted on this connection has resolved.
   static void DrainInflight(Connection* conn);
   void ReapFinished(bool all);

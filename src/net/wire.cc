@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/common/strings.h"
@@ -12,6 +14,12 @@ namespace {
 
 // Nesting cap: hostile "[[[[..." input must not blow the parser's stack.
 constexpr int kMaxDepth = 64;
+
+void AppendUint(std::string* out, std::uint64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
 
 class JsonParser {
  public:
@@ -350,7 +358,8 @@ void AppendRequestJson(const serve::PredictRequest& req, std::string* out) {
         *out += ',';
       }
       AppendJsonString(out, req.attrs[i].first);
-      *out += StrFormat(":%.17g", req.attrs[i].second);
+      out->push_back(':');
+      AppendJsonNumber(out, req.attrs[i].second);
     }
     *out += '}';
   }
@@ -497,7 +506,14 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
@@ -505,14 +521,24 @@ void AppendJsonString(std::string* out, std::string_view s) {
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        } else {
-          out->push_back(c);
-        }
+        *out += StrFormat("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
+}
+
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
+  // Same digits as printf's %.17g (the standard defines this overload so),
+  // without a format-string parse or a temporary string.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 void FrameReader::Append(const char* data, std::size_t n) {
@@ -638,16 +664,26 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
 
 void EncodeResponseLine(std::uint64_t id, std::size_t index,
                         const serve::PredictResponse& response, std::string* out) {
-  *out += StrFormat("{\"id\":%llu,\"index\":%zu,\"status\":\"%s\"",
-                    static_cast<unsigned long long>(id), index,
-                    serve::PredictStatusName(response.status));
+  // Appends field by field: no format-string parse and no temporary
+  // string per line, since every response on the wire passes through here.
+  *out += "{\"id\":";
+  AppendUint(out, id);
+  *out += ",\"index\":";
+  AppendUint(out, index);
+  *out += ",\"status\":\"";
+  *out += serve::PredictStatusName(response.status);
+  out->push_back('"');
   if (!response.error.empty()) {
     *out += ",\"error\":";
     AppendJsonString(out, response.error);
   }
-  *out += StrFormat(",\"value\":%.17g,\"throughput\":%.17g,\"cache_hit\":%s,\"eval_ns\":%llu",
-                    response.value, response.throughput, response.cache_hit ? "true" : "false",
-                    static_cast<unsigned long long>(response.eval_ns));
+  *out += ",\"value\":";
+  AppendJsonNumber(out, response.value);
+  *out += ",\"throughput\":";
+  AppendJsonNumber(out, response.throughput);
+  *out += response.cache_hit ? ",\"cache_hit\":true" : ",\"cache_hit\":false";
+  *out += ",\"eval_ns\":";
+  AppendUint(out, response.eval_ns);
   if (!response.trace_id.empty()) {
     *out += ",\"trace_id\":";
     AppendJsonString(out, response.trace_id);
@@ -662,29 +698,33 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
     AppendJsonString(out, ex.representation);
     *out += ",\"cache\":";
     AppendJsonString(out, ex.cache);
-    *out += StrFormat(
-        ",\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,\"memo_components\":%llu,"
-        "\"memo_hits\":%llu,\"derived_hits\":%llu,\"param_hits\":%llu,"
-        "\"deadline_limited\":%s,\"shadowed\":%s",
-        static_cast<unsigned long long>(ex.queue_wait_ns),
-        static_cast<unsigned long long>(ex.eval_ns), static_cast<unsigned long long>(ex.steps),
-        static_cast<unsigned long long>(ex.memo_components),
-        static_cast<unsigned long long>(ex.memo_hits),
-        static_cast<unsigned long long>(ex.derived_hits),
-        static_cast<unsigned long long>(ex.param_hits), ex.deadline_limited ? "true" : "false",
-        ex.shadowed ? "true" : "false");
-    if (ex.shadowed) {
-      *out += StrFormat(",\"shadow_truth\":%.17g,\"shadow_rel_err\":%.17g", ex.shadow_truth,
-                        ex.shadow_rel_err);
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {",\"queue_wait_ns\":", ex.queue_wait_ns}, {",\"eval_ns\":", ex.eval_ns},
+        {",\"steps\":", ex.steps},                 {",\"memo_components\":", ex.memo_components},
+        {",\"memo_hits\":", ex.memo_hits},         {",\"derived_hits\":", ex.derived_hits},
+        {",\"param_hits\":", ex.param_hits},
+    };
+    for (const auto& [field, value] : counts) {
+      *out += field;
+      AppendUint(out, value);
     }
-    *out += '}';
+    *out += ex.deadline_limited ? ",\"deadline_limited\":true" : ",\"deadline_limited\":false";
+    *out += ex.shadowed ? ",\"shadowed\":true" : ",\"shadowed\":false";
+    if (ex.shadowed) {
+      *out += ",\"shadow_truth\":";
+      AppendJsonNumber(out, ex.shadow_truth);
+      *out += ",\"shadow_rel_err\":";
+      AppendJsonNumber(out, ex.shadow_rel_err);
+    }
+    out->push_back('}');
   }
   *out += "}\n";
 }
 
 void EncodeMalformedLine(std::uint64_t id, std::string_view error, std::string* out) {
-  *out += StrFormat("{\"id\":%llu,\"malformed\":true,\"error\":",
-                    static_cast<unsigned long long>(id));
+  *out += "{\"id\":";
+  AppendUint(out, id);
+  *out += ",\"malformed\":true,\"error\":";
   AppendJsonString(out, error);
   *out += "}\n";
 }

@@ -69,6 +69,10 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 // Appends `s` as a JSON string literal (quotes included) to `out`.
 void AppendJsonString(std::string* out, std::string_view s);
 
+// Appends `v` with %.17g's digits (round-trips every double), or `null`
+// when it is infinite or NaN: JSON has no literal for either.
+void AppendJsonNumber(std::string* out, double v);
+
 // --- Frame reader ----------------------------------------------------------
 
 // Splits a TCP byte stream into newline-delimited frames, enforcing a

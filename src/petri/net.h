@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -50,6 +51,12 @@ using TokenRefs = SmallVec<const Token*, 8>;
 
 // Computes the firing delay in cycles for a token set.
 using DelayFn = std::function<Cycles(const TokenRefs&)>;
+
+// What a DelayFn returns for a token set its delay is undefined on
+// (negative, non-finite, or at least 1e15 cycles): the simulator then stops
+// the run cleanly instead of scheduling the firing
+// (PetriSim::delay_out_of_range).
+inline constexpr Cycles kBadDelay = std::numeric_limits<Cycles>::max();
 
 // Produces the output tokens: out[i] receives the tokens for output arc i
 // (exactly arc.weight tokens must be appended to each). If no FireFn is

@@ -27,6 +27,7 @@ void PetriSim::Reset() {
   seq_ = 0;
   total_firings_ = 0;
   budget_exhausted_ = false;
+  delay_out_of_range_ = false;
   // Preserve which places are instrumented across resets; only markings,
   // logs and in-flight firings are cleared.
   std::vector<bool> observed(cnet_->num_places(), false);
@@ -105,7 +106,7 @@ bool PetriSim::TryStart(TransitionId t) {
   if (component_ != kAllComponents && trans.component != component_) {
     return false;
   }
-  if (budget_exhausted_ || busy_servers_[t] >= trans.servers) {
+  if (budget_exhausted_ || delay_out_of_range_ || busy_servers_[t] >= trans.servers) {
     return false;
   }
   const std::vector<CompiledNet::CompiledArc>& in_arcs = cnet_->inputs();
@@ -170,10 +171,16 @@ bool PetriSim::TryStart(TransitionId t) {
     const Token* primary = refs.front();
     const double v = trans.delay_code->EvalRegs(
         [primary](std::uint32_t slot) { return primary->Attr(slot); });
-    PI_CHECK_MSG(v >= 0 && v < 1e15, "delay out of range");
-    delay = static_cast<Cycles>(std::llround(v));
+    delay = v >= 0 && v < 1e15 ? static_cast<Cycles>(std::llround(v)) : kBadDelay;
   } else {
     delay = (*trans.delay)(refs);
+  }
+  if (delay == kBadDelay) {
+    // Clean stop, like the firing budget: the workload (say, a negative or
+    // NaN attribute) drove a delay expression out of range. Nothing is
+    // consumed, and Run() reports the stop through its return value.
+    delay_out_of_range_ = true;
+    return false;
   }
 
   // Consume inputs into a scheduled slab slot.
@@ -308,6 +315,9 @@ bool PetriSim::Run(Cycles max_time) {
       if (traced) {
         // In-flight firings == tokens currently being processed.
         tracer.Counter("pnet", "tokens_in_flight", static_cast<double>(events_.size()));
+      }
+      if (delay_out_of_range_) {
+        return false;
       }
       if (budget_exhausted_) {
         if (traced) {

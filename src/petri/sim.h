@@ -55,7 +55,8 @@ class PetriSim {
 
   // Runs until no transition can fire and no firing is in flight, or until
   // `max_time`. Returns true if the net quiesced; false if it ran out of
-  // time or of the firing budget (see set_max_firings).
+  // time or of the firing budget (see set_max_firings), or a delay
+  // expression left its range (see delay_out_of_range).
   bool Run(Cycles max_time);
 
   // Resets all state (markings back to initial, logs cleared, time to 0).
@@ -72,6 +73,12 @@ class PetriSim {
   // services evaluating untrusted nets can reject them without aborting.
   void set_max_firings(std::uint64_t m) { max_firings_ = m; }
   bool firing_budget_exhausted() const { return budget_exhausted_; }
+
+  // True once a firing's delay came out negative, non-finite or at least
+  // 1e15 cycles (kBadDelay): the run stopped cleanly before scheduling it,
+  // so services can answer an error for the offending workload instead of
+  // aborting.
+  bool delay_out_of_range() const { return delay_out_of_range_; }
 
   // Disables the compile-time expression fast paths (constant guards,
   // constant/register-bytecode delays) so every firing goes through the
@@ -129,6 +136,7 @@ class PetriSim {
   std::uint64_t total_firings_ = 0;
   std::uint64_t max_firings_ = 500'000'000;
   bool budget_exhausted_ = false;
+  bool delay_out_of_range_ = false;
   bool expr_fastpath_ = true;
   // Allocates a slab slot for an in-flight firing and schedules it.
   Firing& ScheduleFiring(Cycles complete_at);

@@ -6,16 +6,24 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
 
 #include "src/common/check.h"
+#include "src/common/small_vec.h"
 #include "src/common/strings.h"
 
 namespace perfiface::serve {
 
 namespace {
+
+void AppendInt(std::string* out, long long v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
 
 // Canonical form of an entry-place spec: whitespace stripped, every item's
 // token count made explicit (items without ":count" inject `default_count`
@@ -25,19 +33,30 @@ namespace {
 // share a cache entry. Malformed counts are kept verbatim (minus
 // whitespace): the service rejects them, and distinct garbage must not
 // alias.
-std::string CanonicalEntryPlace(const std::string& spec, int default_count) {
+// Appended to *out; built on every cache probe, so it splits in place and
+// formats without printf (short place names stay in the strings' inline
+// buffers).
+void AppendCanonicalEntryPlace(std::string_view spec, int default_count, std::string* out) {
   std::vector<std::pair<std::string, long long>> items;
   std::vector<std::string> malformed;
-  for (const std::string& raw : SplitString(spec, ',')) {
-    std::string item(StripWhitespace(raw));
-    // Whitespace inside an item ("vld_in : 8") is insignificant too: place
-    // names are identifiers, so dropping every space cannot merge names.
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char c) { return std::isspace(c) != 0; }),
-               item.end());
+  for (std::size_t begin = 0; begin <= spec.size();) {
+    std::size_t comma = spec.find(',', begin);
+    if (comma == std::string_view::npos) {
+      comma = spec.size();
+    }
+    // Whitespace is insignificant anywhere in an item ("vld_in : 8"):
+    // place names are identifiers, so dropping every space cannot merge
+    // names.
+    std::string item;
+    for (const char c : spec.substr(begin, comma - begin)) {
+      if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+        item.push_back(c);
+      }
+    }
+    begin = comma + 1;
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos) {
-      items.emplace_back(item, default_count);
+      items.emplace_back(std::move(item), default_count);
       continue;
     }
     char* end = nullptr;
@@ -48,15 +67,16 @@ std::string CanonicalEntryPlace(const std::string& spec, int default_count) {
     // spec would alias to one "p:9223372036854775807" key — exactly the
     // aliasing the contract above forbids.
     if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1) {
-      malformed.push_back(item);
+      malformed.push_back(std::move(item));
       continue;
     }
-    items.emplace_back(item.substr(0, colon), parsed);
+    item.resize(colon);
+    items.emplace_back(std::move(item), parsed);
   }
   std::sort(items.begin(), items.end());
   std::sort(malformed.begin(), malformed.end());
 
-  std::string out;
+  const std::size_t start = out->size();
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0 && items[i].first == items[i - 1].first) {
       continue;
@@ -72,20 +92,20 @@ std::string CanonicalEntryPlace(const std::string& spec, int default_count) {
         count += items[j].second;
       }
     }
-    if (!out.empty()) {
-      out += ',';
+    if (out->size() != start) {
+      out->push_back(',');
     }
-    out += items[i].first;
-    out += StrFormat(":%lld", count);
+    *out += items[i].first;
+    out->push_back(':');
+    AppendInt(out, count);
   }
   for (const std::string& item : malformed) {
-    if (!out.empty()) {
-      out += ',';
+    if (out->size() != start) {
+      out->push_back(',');
     }
-    out += '!';
-    out += item;
+    out->push_back('!');
+    *out += item;
   }
-  return out;
 }
 
 // splitmix64: cheap, well-mixed 64-bit permutation.
@@ -149,25 +169,24 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
     key += req.function;
   } else {
     const int default_count = std::max(1, req.tokens);
-    const std::string canonical = CanonicalEntryPlace(req.entry_place, default_count);
-    if (canonical.empty()) {
+    const std::size_t spec_start = key.size();
+    AppendCanonicalEntryPlace(req.entry_place, default_count, &key);
+    if (key.size() == spec_start) {
       // Empty spec means "first declared place, `tokens` copies" — the
       // count is the only degree of freedom left.
-      key += StrFormat("@first:%d", default_count);
-    } else {
-      // Every count is explicit in the canonical spec, so the `tokens`
-      // field no longer matters: "vld_in" with tokens=8 and "vld_in:8"
-      // with tokens=1 are the same query.
-      key += canonical;
+      key += "@first:";
+      AppendInt(&key, default_count);
     }
+    // Otherwise every count is explicit in the canonical spec, so the
+    // `tokens` field no longer matters: "vld_in" with tokens=8 and
+    // "vld_in:8" with tokens=1 are the same query.
   }
-  key += '\x1f';
-  key += StrFormat("c%d", req.children);
+  key += "\x1f" "c";
+  AppendInt(&key, req.children);
 
   // Sort attribute names without copying the request: order-insensitive
   // keys are what make "same workload, different builder" queries collide.
-  std::vector<const std::pair<std::string, double>*> sorted;
-  sorted.reserve(req.attrs.size());
+  SmallVec<const std::pair<std::string, double>*, 8> sorted;
   for (const auto& kv : req.attrs) {
     sorted.push_back(&kv);
   }
@@ -176,8 +195,13 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   for (const auto* kv : sorted) {
     key += '\x1f';
     key += kv->first;
-    // %.17g round-trips doubles exactly, so distinct workloads never alias.
-    key += StrFormat("=%.17g", kv->second);
+    key += '=';
+    // %.17g's digits (to_chars with precision is defined as printf) round-
+    // trip doubles exactly, so distinct workloads never alias.
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), kv->second, std::chars_format::general, 17);
+    key.append(buf, r.ptr);
   }
   return key;
 }

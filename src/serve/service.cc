@@ -33,6 +33,17 @@ std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
+// The response a cache hit answers with.
+PredictResponse FromCache(const CachedPrediction& cached) {
+  obs::Tracer::Global().Instant("serve", "cache_hit");
+  PredictResponse r;
+  r.status = PredictStatus::kOk;
+  r.value = cached.value;
+  r.throughput = cached.throughput;
+  r.cache_hit = true;
+  return r;
+}
+
 }  // namespace
 
 std::size_t PredictionService::BatchHandle::size() const {
@@ -141,6 +152,7 @@ PredictionService::~PredictionService() {
 
 void PredictionService::Shutdown() {
   std::call_once(shutdown_once_, [this] {
+    shut_down_.store(true, std::memory_order_release);
     queue_.Close();
     for (std::thread& w : workers_) {
       w.join();
@@ -344,11 +356,12 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
       static_cast<std::int64_t>(ElapsedNs(batch->submitted, now) / 1000);
 
   // Admission pass: decide every request up front so shedding happens
-  // before any queueing (REJECTED now beats DEADLINE_EXCEEDED later). An
-  // empty `admitted` means admission is inert and everything proceeds —
-  // the per-request metrics work is skipped entirely on that hot path.
+  // before any cache or queue work (REJECTED now beats DEADLINE_EXCEEDED
+  // later, and a hit never gets around a tenant's quota). An empty
+  // `admitted` means admission is inert and everything proceeds — the
+  // per-request metrics work is skipped entirely on that hot path.
   std::vector<bool> admitted;
-  std::vector<std::size_t> resolved_inline;  // shed here, or unqueued at shutdown
+  std::vector<std::size_t> resolved_inline;  // shed, hit, early outcome, or shut down
   std::size_t shed = 0;
   if (admission_.enabled()) {
     obs::SpanGuard admission_span("serve", "admission");
@@ -387,17 +400,47 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
     }
   }
 
-  // Enqueue admitted requests as contiguous runs of at most `chunk`. A run
-  // is scheduled in the slack band of its tightest deadline so one urgent
+  // Probe pass: every admitted request consults the cache here, on the
+  // submitting thread. Hits and early outcomes resolve inline; only misses
+  // are queued, carrying the key the probe built.
+  std::vector<bool> queued(n, false);
+  const bool shut_down = shut_down_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!admitted.empty() && !admitted[i]) {
+      continue;
+    }
+    if (shut_down) {
+      // Shut down: nothing is answered, hits included, and the cache was
+      // not consulted, so the hit/miss counters must not move.
+      FillRejected(requests[i], "service is shut down", &responses[i]);
+      metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
+                             /*rejected=*/true);
+      resolved_inline.push_back(i);
+      continue;
+    }
+    Probed probed;
+    if (Probe(requests[i], batch->submitted, &responses[i], &probed)) {
+      resolved_inline.push_back(i);
+      continue;
+    }
+    if (batch->probed.empty()) {
+      batch->probed.resize(n);
+    }
+    batch->probed[i] = std::move(probed);
+    queued[i] = true;
+  }
+
+  // Enqueue the misses as contiguous runs of at most `chunk`. A run is
+  // scheduled in the slack band of its tightest deadline so one urgent
   // request is never parked behind its chunk-mates' laxity.
   std::size_t begin = 0;
   while (begin < n) {
-    if (!admitted.empty() && !admitted[begin]) {
+    if (!queued[begin]) {
       ++begin;
       continue;
     }
     std::size_t end = begin + 1;
-    while (end < n && end - begin < chunk && (admitted.empty() || admitted[end])) {
+    while (end < n && end - begin < chunk && queued[end]) {
       ++end;
     }
     Job job;
@@ -427,17 +470,16 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
       // span view cannot show). The chunk's first trace id rides on the
       // arrow so a wire trace id finds its queue hop in the export.
       job.flow_id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
-      tracer.FlowBegin("serve", "queue", job.flow_id, requests[begin].trace_id);
+      tracer.FlowBegin("serve", "queue", job.flow_id, batch->probed[begin].trace_id);
     }
     pending_requests_.fetch_add(end - begin, std::memory_order_relaxed);
     if (!queue_.Push(job, job.bucket)) {
       pending_requests_.fetch_sub(end - begin, std::memory_order_relaxed);
-      // Service shut down mid-submission: answer the unqueued tail
-      // directly (skipping indices admission already resolved). These
-      // requests never consulted the cache, so the hit/miss counters must
-      // not move (the miss counter once did, skewing the hit rate).
+      // Service shut down mid-submission: answer the unqueued misses
+      // directly. A miss is counted when its evaluation finishes, so these
+      // move neither cache counter.
       for (std::size_t i = begin; i < n; ++i) {
-        if (!admitted.empty() && !admitted[i]) {
+        if (!queued[i]) {
           continue;
         }
         FillRejected(requests[i], "service is shut down", &responses[i]);
@@ -543,7 +585,7 @@ void PredictionService::WorkerLoop() {
         // Terminate the enqueue->dequeue flow inside this span (the export
         // binds "f" events to their enclosing slice).
         obs::Tracer::Global().FlowEnd("serve", "queue", job.flow_id,
-                                      job.requests[job.begin].trace_id);
+                                      job.batch->probed[job.begin].trace_id);
       }
     }
     if (obs::Tracer::Global().enabled()) {
@@ -561,9 +603,20 @@ void PredictionService::WorkerLoop() {
       if (request.deadline_us > 0 &&
           static_cast<std::int64_t>(ElapsedNs(job.batch->submitted, popped) / 1000) >=
               request.deadline_us) {
-        job.responses[i] = QueueExpiredResponse(request, queue_wait_ns);
+        job.responses[i] = ExpiredResponse(request, job.batch->probed[i].trace_id,
+                                           "deadline expired while queued", queue_wait_ns);
       } else {
-        job.responses[i] = Evaluate(request, job.batch->submitted, &state);
+        job.responses[i] =
+            Evaluate(request, job.batch->probed[i], job.batch->submitted, &state);
+        // Service-time EMA (alpha 1/8) feeding the admission feasibility
+        // estimate, over queued work only: the pending count it multiplies
+        // holds no inline hits. Relaxed load/store: a lost update only
+        // nudges an estimate.
+        const std::int64_t ns = static_cast<std::int64_t>(job.responses[i].eval_ns);
+        const std::int64_t prev = static_cast<std::int64_t>(
+            ema_service_ns_.load(std::memory_order_relaxed));
+        ema_service_ns_.store(static_cast<std::uint64_t>(prev == 0 ? ns : prev + (ns - prev) / 8),
+                              std::memory_order_relaxed);
       }
       if (job.batch->on_complete) {
         // Stream each completion before the request is counted done: once
@@ -592,12 +645,14 @@ void PredictionService::WorkerLoop() {
   }
 }
 
-PredictResponse PredictionService::QueueExpiredResponse(const PredictRequest& request,
-                                                        std::uint64_t queue_wait_ns) {
+PredictResponse PredictionService::ExpiredResponse(const PredictRequest& request,
+                                                   const std::string& trace_id,
+                                                   const char* error,
+                                                   std::uint64_t queue_wait_ns) {
   PredictResponse response;
   response.status = PredictStatus::kDeadlineExceeded;
-  response.error = "deadline expired while queued";
-  response.trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
+  response.error = error;
+  response.trace_id = trace_id;
   response.tenant = request.tenant;
   // The deadline counter moves (operators alert on it) but RecordRequest
   // does not: the latency histogram and per-interface request/error
@@ -624,164 +679,201 @@ PredictResponse PredictionService::QueueExpiredResponse(const PredictRequest& re
   return response;
 }
 
-PredictResponse PredictionService::Evaluate(const PredictRequest& request,
-                                            Clock::time_point submitted, WorkerState* state) {
-  const Clock::time_point start = Clock::now();
-  const std::uint64_t queue_wait_ns = ElapsedNs(submitted, start);
-  const std::uint64_t ring_start_ns =
-      options_.enable_span_ring ? obs::SpanRing::Global().NowNs() : 0;
-  PredictResponse response;
-  // Every response carries a trace id: the client's when supplied, a fresh
-  // one otherwise (docs/observability.md "Trace context"). Held in a local
-  // because `response` is wholesale-replaced by the evaluator's result.
-  const std::string trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
-
-  obs::SpanGuard eval_span("serve", "eval");
-  if (eval_span.active()) {
-    eval_span.SetArg("interface", request.interface);
-    eval_span.SetTraceId(trace_id);
+bool PredictionService::Budget(const PredictRequest& request, Clock::time_point submitted,
+                               Clock::time_point now, std::uint64_t* budget,
+                               bool* deadline_limited) const {
+  *budget = request.max_steps != 0 ? request.max_steps : options_.default_max_steps;
+  *deadline_limited = false;
+  if (request.deadline_us <= 0) {
+    return true;
   }
+  const std::int64_t elapsed_us = static_cast<std::int64_t>(ElapsedNs(submitted, now) / 1000);
+  const std::int64_t remaining_us = request.deadline_us - elapsed_us;
+  if (remaining_us <= 0) {
+    return false;
+  }
+  const std::uint64_t deadline_steps = DeadlineBudgetSteps(remaining_us, options_.steps_per_us);
+  if (deadline_steps < *budget) {
+    *budget = deadline_steps;
+    *deadline_limited = true;
+  }
+  return true;
+}
 
-  const std::size_t iface_idx = metrics_->IndexOf(request.interface);
-  // kNotConsulted until the cache lookup actually runs: early exits
-  // (expired deadline, unknown interface/function) must not skew the
-  // hit/miss counters.
-  CacheOutcome cache_outcome = CacheOutcome::kNotConsulted;
-  // Deadline bookkeeping: queue-expired requests are answered without
-  // evaluating; live ones get a step budget capped by the time remaining.
-  std::uint64_t budget =
-      request.max_steps != 0 ? request.max_steps : options_.default_max_steps;
-  bool deadline_limited = false;
-  EvalDetail detail;
-  ShadowValidator::Outcome shadow_outcome;
-  auto finish = [&](PredictResponse r) {
-    r.trace_id = trace_id;
-    r.tenant = request.tenant;
-    r.eval_ns = ElapsedNs(start, Clock::now());
-    metrics_->RecordRequest(iface_idx, r.eval_ns, r.ok());
-    // Service-time EMA (alpha 1/8) feeding the admission feasibility
-    // estimate. Relaxed load/store: a lost update only nudges an estimate.
-    const std::uint64_t prev_ema = ema_service_ns_.load(std::memory_order_relaxed);
-    ema_service_ns_.store(
-        prev_ema == 0
-            ? r.eval_ns
-            : static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(prev_ema) +
-                  (static_cast<std::int64_t>(r.eval_ns) - static_cast<std::int64_t>(prev_ema)) /
-                      8),
-        std::memory_order_relaxed);
-    metrics_->RecordDerivedHits(iface_idx, detail.derived_hits);
-    metrics_->RecordParamHits(iface_idx, detail.param_hits);
-    metrics_->RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
-                           r.status == PredictStatus::kRejected);
-    if (eval_span.active()) {
-      eval_span.SetArg("status", std::string(PredictStatusName(r.status)));
-    }
-    if (request.explain) {
-      ExplainInfo& ex = r.explain;
-      ex.filled = true;
-      ex.representation = detail.representation;
-      ex.cache = cache_outcome == CacheOutcome::kHit
-                     ? "hit"
-                     : (cache_outcome == CacheOutcome::kMiss ? "miss" : "not_consulted");
-      ex.queue_wait_ns = queue_wait_ns;
-      ex.eval_ns = r.eval_ns;
-      ex.steps = detail.steps;
-      ex.memo_components = detail.memo_components;
-      ex.memo_hits = detail.memo_hits;
-      ex.derived_hits = detail.derived_hits;
-      ex.param_hits = detail.param_hits;
-      ex.deadline_limited = deadline_limited;
-      ex.shadowed = shadow_outcome.ran;
-      ex.shadow_truth = shadow_outcome.truth;
-      ex.shadow_rel_err = shadow_outcome.rel_err;
-    }
-    if (options_.enable_span_ring) {
-      obs::SpanRing::Entry ring_entry;
-      ring_entry.cat = "serve";
-      ring_entry.name = "eval";
-      ring_entry.trace_id = r.trace_id;
-      ring_entry.detail = request.interface + ' ' + PredictStatusName(r.status);
-      ring_entry.start_ns = ring_start_ns;
-      ring_entry.dur_ns = r.eval_ns;
-      obs::SpanRing::Global().Record(std::move(ring_entry));
-    }
-    return r;
+PredictResponse PredictionService::Finish(const PredictRequest& request,
+                                          const std::string& trace_id, const Outcome& outcome,
+                                          PredictResponse r) {
+  r.trace_id = trace_id;
+  r.tenant = request.tenant;
+  r.eval_ns = ElapsedNs(outcome.start, Clock::now());
+  const EvalDetail& detail = outcome.detail;
+  metrics_->RecordRequest(outcome.iface_idx, r.eval_ns, r.ok());
+  metrics_->RecordDerivedHits(outcome.iface_idx, detail.derived_hits);
+  metrics_->RecordParamHits(outcome.iface_idx, detail.param_hits);
+  metrics_->RecordStatus(outcome.cache, r.status == PredictStatus::kDeadlineExceeded,
+                         r.status == PredictStatus::kRejected);
+  if (outcome.span->active()) {
+    outcome.span->SetArg("status", std::string(PredictStatusName(r.status)));
+  }
+  if (request.explain) {
+    ExplainInfo& ex = r.explain;
+    ex.filled = true;
+    ex.representation = detail.representation;
+    ex.cache = outcome.cache == CacheOutcome::kHit
+                   ? "hit"
+                   : (outcome.cache == CacheOutcome::kMiss ? "miss" : "not_consulted");
+    ex.queue_wait_ns = outcome.queue_wait_ns;
+    ex.eval_ns = r.eval_ns;
+    ex.steps = detail.steps;
+    ex.memo_components = detail.memo_components;
+    ex.memo_hits = detail.memo_hits;
+    ex.derived_hits = detail.derived_hits;
+    ex.param_hits = detail.param_hits;
+    ex.deadline_limited = outcome.deadline_limited;
+    ex.shadowed = outcome.shadow.ran;
+    ex.shadow_truth = outcome.shadow.truth;
+    ex.shadow_rel_err = outcome.shadow.rel_err;
+  }
+  if (options_.enable_span_ring) {
+    obs::SpanRing::Entry ring_entry;
+    ring_entry.cat = "serve";
+    ring_entry.name = "eval";
+    ring_entry.trace_id = r.trace_id;
+    ring_entry.detail = request.interface + ' ' + PredictStatusName(r.status);
+    ring_entry.start_ns = outcome.ring_start_ns;
+    ring_entry.dur_ns = r.eval_ns;
+    obs::SpanRing::Global().Record(std::move(ring_entry));
+  }
+  return r;
+}
+
+bool PredictionService::Probe(const PredictRequest& request, Clock::time_point submitted,
+                              PredictResponse* response, Probed* probed) {
+  Outcome outcome;
+  outcome.start = Clock::now();
+  // About zero for every request but the last of a long batch: nothing
+  // queues before the probe.
+  outcome.queue_wait_ns = ElapsedNs(submitted, outcome.start);
+  outcome.ring_start_ns = options_.enable_span_ring ? obs::SpanRing::Global().NowNs() : 0;
+  // Every response carries a trace id: the client's when supplied, a fresh
+  // one otherwise (docs/observability.md "Trace context"). A miss carries
+  // it to the evaluate half.
+  std::string trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
+
+  obs::SpanGuard probe_span("serve", "probe");
+  if (probe_span.active()) {
+    probe_span.SetArg("interface", request.interface);
+    probe_span.SetTraceId(trace_id);
+  }
+  outcome.span = &probe_span;
+  outcome.iface_idx = metrics_->IndexOf(request.interface);
+  const auto not_found = [&](std::string error) {
+    PredictResponse r;
+    r.status = PredictStatus::kNotFound;
+    r.error = std::move(error);
+    *response = Finish(request, trace_id, outcome, std::move(r));
+    return true;
   };
 
-  if (request.deadline_us > 0) {
-    const std::int64_t elapsed_us = static_cast<std::int64_t>(ElapsedNs(submitted, start) / 1000);
-    const std::int64_t remaining_us = request.deadline_us - elapsed_us;
-    if (remaining_us <= 0) {
-      response.status = PredictStatus::kDeadlineExceeded;
-      response.error = "deadline expired before evaluation started";
-      return finish(response);
-    }
-    const std::uint64_t deadline_steps =
-        DeadlineBudgetSteps(remaining_us, options_.steps_per_us);
-    if (deadline_steps < budget) {
-      budget = deadline_steps;
-      deadline_limited = true;
-    }
+  std::uint64_t budget = 0;
+  if (!Budget(request, submitted, outcome.start, &budget, &outcome.deadline_limited)) {
+    *response = ExpiredResponse(request, trace_id, "deadline expired before evaluation started",
+                                outcome.queue_wait_ns);
+    return true;
   }
-
   const Entry* entry = FindEntry(request.interface);
   if (entry == nullptr) {
-    response.status = PredictStatus::kNotFound;
-    response.error = StrFormat("unknown interface '%s'", request.interface.c_str());
-    return finish(response);
+    return not_found(StrFormat("unknown interface '%s'", request.interface.c_str()));
   }
-  const std::size_t entry_idx = static_cast<std::size_t>(entry - entries_.data());
-
   Representation rep = request.representation;
   if (rep == Representation::kAuto) {
     if (!entry->program.has_value() && entry->pnet.net == nullptr) {
-      response.status = PredictStatus::kNotFound;
-      response.error = StrFormat("'%s' ships only a text interface (nothing executable)",
-                                 request.interface.c_str());
-      return finish(response);
+      return not_found(StrFormat("'%s' ships only a text interface (nothing executable)",
+                                 request.interface.c_str()));
     }
     rep = entry->program.has_value() ? Representation::kProgram : Representation::kPnet;
   }
   if (rep == Representation::kProgram && !entry->program.has_value()) {
-    response.status = PredictStatus::kNotFound;
-    response.error = StrFormat("'%s' ships no executable interface", request.interface.c_str());
-    return finish(response);
+    return not_found(
+        StrFormat("'%s' ships no executable interface", request.interface.c_str()));
   }
   if (rep == Representation::kPnet && entry->pnet.net == nullptr) {
-    response.status = PredictStatus::kNotFound;
-    response.error = StrFormat("'%s' ships no Petri-net interface", request.interface.c_str());
-    return finish(response);
+    return not_found(
+        StrFormat("'%s' ships no Petri-net interface", request.interface.c_str()));
   }
 
-  const std::string key = CanonicalCacheKey(request, rep);
+  std::string key = CanonicalCacheKey(request, rep);
   CachedPrediction cached;
   if (cache_.Get(key, &cached)) {
-    cache_outcome = CacheOutcome::kHit;
-    detail.representation = "cache";
-    obs::Tracer::Global().Instant("serve", "cache_hit");
-    response.status = PredictStatus::kOk;
-    response.value = cached.value;
-    response.throughput = cached.throughput;
-    response.cache_hit = true;
-    return finish(response);
+    outcome.cache = CacheOutcome::kHit;
+    outcome.detail.representation = "cache";
+    *response = Finish(request, trace_id, outcome, FromCache(cached));
+    return true;
   }
-  cache_outcome = CacheOutcome::kMiss;
+  probed->entry = static_cast<std::size_t>(entry - entries_.data());
+  probed->rep = rep;
+  probed->key = std::move(key);
+  probed->trace_id = std::move(trace_id);
+  return false;
+}
 
-  response = rep == Representation::kProgram
-                 ? EvaluateProgram(request, *entry, entry_idx, budget, deadline_limited, state,
-                                   &detail)
-                 : EvaluatePnet(request, *entry, budget, deadline_limited, &detail);
+PredictResponse PredictionService::Evaluate(const PredictRequest& request, const Probed& probed,
+                                            Clock::time_point submitted, WorkerState* state) {
+  Outcome outcome;
+  outcome.start = Clock::now();
+  outcome.queue_wait_ns = ElapsedNs(submitted, outcome.start);
+  outcome.ring_start_ns = options_.enable_span_ring ? obs::SpanRing::Global().NowNs() : 0;
+  obs::SpanGuard eval_span("serve", "eval");
+  if (eval_span.active()) {
+    eval_span.SetArg("interface", request.interface);
+    eval_span.SetTraceId(probed.trace_id);
+  }
+  outcome.span = &eval_span;
+  outcome.iface_idx = metrics_->IndexOf(request.interface);
+
+  // Live requests get a step budget capped by the time remaining now,
+  // after the queue wait.
+  std::uint64_t budget = 0;
+  if (!Budget(request, submitted, outcome.start, &budget, &outcome.deadline_limited)) {
+    return ExpiredResponse(request, probed.trace_id, "deadline expired before evaluation started",
+                           outcome.queue_wait_ns);
+  }
+
+  // A second look with the carried key: an identical request queued
+  // alongside this one may have filled the entry meanwhile, so duplicates
+  // submitted together still evaluate once.
+  CachedPrediction cached;
+  if (cache_.Get(probed.key, &cached)) {
+    outcome.cache = CacheOutcome::kHit;
+    outcome.detail.representation = "cache";
+    return Finish(request, probed.trace_id, outcome, FromCache(cached));
+  }
+  outcome.cache = CacheOutcome::kMiss;
+
+  const Entry& entry = entries_[probed.entry];
+  PredictResponse response =
+      probed.rep == Representation::kProgram
+          ? EvaluateProgram(request, entry, probed.entry, budget, outcome.deadline_limited,
+                            state, &outcome.detail)
+          : EvaluatePnet(request, entry, budget, outcome.deadline_limited, &outcome.detail);
+  if (response.ok() && !(std::isfinite(response.value) && std::isfinite(response.throughput))) {
+    // JSON has no inf/nan, and no latency is infinite: an overflowing
+    // interface answers an error, which is never cached.
+    response.status = PredictStatus::kError;
+    response.error = "non-finite result";
+    response.value = 0;
+    response.throughput = 0;
+  }
   if (response.ok()) {
     // Shadow validation rides the miss path only: a cached prediction was
     // already sampled (same key, same decision) when first evaluated.
-    if (shadow_->enabled() && shadow_->ShouldSample(key)) {
-      shadow_outcome = shadow_->Validate(entry_idx, entry->name, request, response.value);
+    if (shadow_->enabled() && shadow_->ShouldSample(probed.key)) {
+      outcome.shadow = shadow_->Validate(probed.entry, entry.name, request, response.value);
     }
     obs::SpanGuard fill_span("serve", "cache_fill");
-    cache_.Put(key, CachedPrediction{response.value, response.throughput});
+    cache_.Put(probed.key, CachedPrediction{response.value, response.throughput});
   }
-  return finish(response);
+  return Finish(request, probed.trace_id, outcome, std::move(response));
 }
 
 PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request,
@@ -940,6 +1032,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   Cycles value = 0;
   bool quiesced = true;
   bool firing_budget_hit = false;
+  bool delay_out_of_range = false;
 
   if (options_.enable_pnet_memo && cnet.hashable()) {
     // Weakly-connected components share no places, so they evolve
@@ -1049,6 +1142,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         if (!q) {
           quiesced = false;
           firing_budget_hit = sim.firing_budget_exhausted();
+          delay_out_of_range = sim.delay_out_of_range();
           break;
         }
         // Only quiesced results enter the table (pnet_memo.h contract).
@@ -1085,10 +1179,18 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     }
     quiesced = sim.Run(kPnetRunBudget);
     firing_budget_hit = sim.firing_budget_exhausted();
+    delay_out_of_range = sim.delay_out_of_range();
     value = sim.now();
     detail->steps = sim.total_firings();
   }
 
+  if (delay_out_of_range) {
+    // The workload, not the budget, stopped the run: an error, and (like
+    // every unquiesced run) never memoized or cached.
+    response.status = PredictStatus::kError;
+    response.error = "delay out of range";
+    return response;
+  }
   if (!quiesced) {
     response.status =
         deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;

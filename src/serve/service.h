@@ -8,13 +8,11 @@
 // form), and answers queries through a fixed worker pool:
 //
 //   clients ──Predict/PredictBatch/SubmitBatch──▶ admission control ──▶
-//                                          │       deadline-bucketed MPMC
-//                                          │       queue (request chunks)
-//                             workers (one Interpreter per thread per
-//                             program — interpreters are stateful and are
-//                             never shared) ──▶ sharded LRU cache
-//                                          └──▶ process-wide sub-net memo
-//                                               (src/petri/pnet_memo.h)
+//       cache probe on the submitting thread (sharded LRU cache; hits and
+//       early outcomes resolve here) ──▶ misses only: deadline-bucketed
+//       MPMC queue (request chunks) ──▶ workers (one Vm/Interpreter per
+//       thread per program — never shared) ──▶ process-wide sub-net memo
+//       (src/petri/pnet_memo.h) ──▶ cache fill
 //
 // Responses memoize (interface, function, canonicalized workload) →
 // prediction, so hot workloads skip evaluation entirely; below that, pnet
@@ -47,6 +45,7 @@
 #include "src/core/program_interface.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
+#include "src/obs/trace.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
 #include "src/serve/admission.h"
@@ -128,12 +127,13 @@ struct ServiceOptions {
 };
 
 // Per-request completion callback for the async API: invoked once per
-// request, from a worker thread, with the request's index in submission
-// order, as soon as that request resolves (streaming — not batched at the
-// end). May be invoked from the submitting thread for requests rejected at
-// submission (shed by admission control, or service shutting down). Must
-// not block for long: it runs on the worker that would otherwise be
-// evaluating.
+// request, with the request's index in submission order, as soon as that
+// request resolves (streaming — not batched at the end). Cache hits, and
+// requests resolved before evaluation (shed by admission control, unknown
+// interface, expired deadline, service shutting down), complete on the
+// submitting thread before SubmitBatch returns; cache misses complete on
+// the worker that evaluated them. Must not block for long: it runs on the
+// worker that would otherwise be evaluating.
 using StreamCallback = std::function<void(std::size_t index, const PredictResponse& response)>;
 
 class PredictionService {
@@ -220,7 +220,7 @@ class PredictionService {
   };
   std::vector<InterfaceInfo> InterfaceInfos() const;
 
-  // Deadline→budget conversion used by Evaluate: at most remaining_us *
+  // Deadline→budget conversion used by Budget: at most remaining_us *
   // steps_per_us steps, saturating at UINT64_MAX instead of wrapping (a
   // client-supplied deadline near INT64_MAX must mean "effectively
   // unlimited", not a tiny wrapped budget and a spurious
@@ -243,6 +243,16 @@ class PredictionService {
     std::vector<std::size_t> attr_order;
   };
 
+  // What the probe half learned about a request that missed the cache,
+  // carried to the worker that evaluates it: the evaluate half neither
+  // resolves the entry again nor rebuilds the key.
+  struct Probed {
+    std::size_t entry = 0;  // index into entries_
+    Representation rep = Representation::kAuto;
+    std::string key;       // CanonicalCacheKey(request, rep)
+    std::string trace_id;  // the client's, or minted by the probe
+  };
+
   // Completion state shared between a batch submitter and the workers.
   // Synchronous batches stack-allocate it (the submitter outlives the
   // batch by construction); async batches heap-allocate it and the Jobs
@@ -257,6 +267,9 @@ class PredictionService {
     std::vector<PredictRequest> requests;
     std::vector<PredictResponse> responses;
     StreamCallback on_complete;
+    // probed[i] describes queued request i; sized on the batch's first
+    // miss, before any chunk is queued, and written only by the submitter.
+    std::vector<Probed> probed;
   };
 
   struct Job {
@@ -286,12 +299,12 @@ class PredictionService {
   };
 
   // Evaluation-path facts threaded out of EvaluateProgram/EvaluatePnet so
-  // Evaluate can assemble the explain payload and the span-ring entry
+  // Finish can assemble the explain payload and the span-ring entry
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "psc-vm" | "psc-interp" | "pnet" | "pnet-memo" | "pnet-derived" |
-    // "pnet-param"
+    // "cache" | "psc-vm" | "psc-interp" | "pnet" | "pnet-memo" |
+    // "pnet-derived" | "pnet-param"
     const char* representation = "";
     std::uint64_t steps = 0;          // interpreter/VM steps or net firings
     std::uint64_t memo_components = 0;
@@ -300,12 +313,30 @@ class PredictionService {
     std::uint64_t param_hits = 0;     // components served by the fitted model
   };
 
+  // Per-request bookkeeping of one half (probe or evaluate), turned into
+  // metrics, explain and the span-ring entry by Finish.
+  struct Outcome {
+    Clock::time_point start;
+    std::uint64_t queue_wait_ns = 0;
+    std::uint64_t ring_start_ns = 0;
+    std::size_t iface_idx = 0;
+    // kNotConsulted until the cache lookup runs: early exits (expired
+    // deadline, unknown interface/function) must not skew the hit/miss
+    // counters.
+    CacheOutcome cache = CacheOutcome::kNotConsulted;
+    bool deadline_limited = false;
+    EvalDetail detail;
+    ShadowValidator::Outcome shadow;
+    obs::SpanGuard* span = nullptr;
+  };
+
   void WorkerLoop();
-  // Runs admission over [0, n), resolves shed (and, on shutdown, unqueued)
-  // requests inline — response filled, metrics charged, completion
-  // streamed, batch accounting settled — and enqueues admitted requests as
-  // contiguous chunks. After it returns, every request is either queued or
-  // already resolved.
+  // Runs admission over [0, n), then the cache probe over every admitted
+  // request. Shed requests, hits and early outcomes (and, on shutdown,
+  // everything unqueued) resolve inline on the calling thread — response
+  // filled, metrics charged, completion streamed, batch accounting
+  // settled; misses are enqueued as contiguous chunks. After it returns,
+  // every request is either queued or already resolved.
   void EnqueueChunks(const PredictRequest* requests, PredictResponse* responses,
                      std::size_t n, BatchState* batch,
                      const std::shared_ptr<BatchState>& keepalive);
@@ -313,15 +344,33 @@ class PredictionService {
   // explain-presence parity every evaluated response gets.
   static void FillRejected(const PredictRequest& request, const char* error,
                            PredictResponse* out);
-  // DEADLINE_EXCEEDED for a request whose deadline expired while queued:
-  // detected at dequeue, before any cache/registry work, charging the
-  // deadline counter but not the eval-path latency/request metrics or the
-  // shadow sampler.
-  PredictResponse QueueExpiredResponse(const PredictRequest& request,
-                                       std::uint64_t queue_wait_ns);
+  // DEADLINE_EXCEEDED for a request whose deadline expired before it was
+  // evaluated (at the probe, in the queue, or at eval start), charging the
+  // deadline counter but not the eval-path latency/request metrics, the
+  // cache counters or the shadow sampler.
+  PredictResponse ExpiredResponse(const PredictRequest& request, const std::string& trace_id,
+                                  const char* error, std::uint64_t queue_wait_ns);
   const Entry* FindEntry(const std::string& name) const;
-  PredictResponse Evaluate(const PredictRequest& request, Clock::time_point submitted,
-                           WorkerState* state);
+  // Evaluation budget for a request starting at `now`: the explicit or
+  // default step budget, capped by the time left before its deadline.
+  // False if the deadline has already passed.
+  bool Budget(const PredictRequest& request, Clock::time_point submitted, Clock::time_point now,
+              std::uint64_t* budget, bool* deadline_limited) const;
+  // Probe half, on the submitting thread: deadline check, registry entry,
+  // representation, cache key, cache lookup. True if the request resolved
+  // (hit or early outcome; *response is final); false on a miss, with
+  // *probed filled for the evaluate half.
+  bool Probe(const PredictRequest& request, Clock::time_point submitted,
+             PredictResponse* response, Probed* probed);
+  // Evaluate half, on a worker: a second cache look with the carried key,
+  // program/pnet evaluation, the non-finite check, shadow sampling, cache
+  // fill.
+  PredictResponse Evaluate(const PredictRequest& request, const Probed& probed,
+                           Clock::time_point submitted, WorkerState* state);
+  // Shared tail of both halves: stamps trace id/tenant/eval_ns onto the
+  // response and records metrics, explain and the span-ring entry.
+  PredictResponse Finish(const PredictRequest& request, const std::string& trace_id,
+                         const Outcome& outcome, PredictResponse r);
   PredictResponse EvaluateProgram(const PredictRequest& request, const Entry& entry,
                                   std::size_t entry_idx, std::uint64_t budget,
                                   bool deadline_limited, WorkerState* state, EvalDetail* detail);
@@ -344,7 +393,7 @@ class PredictionService {
   ShardedLruCache cache_;
   DeadlineQueue<Job> queue_;
   AdmissionController admission_;
-  // Admitted-but-unfinished requests and a relaxed EMA of per-request
+  // Queued-but-unfinished requests (misses) and a relaxed EMA of their
   // service time, feeding the deadline-feasibility estimate (predicted
   // wait = pending x ema / workers). Racy lost EMA updates are fine — it
   // is an estimate, and the atomics keep it TSan-clean.
@@ -352,6 +401,9 @@ class PredictionService {
   std::atomic<std::uint64_t> ema_service_ns_{0};
   std::atomic<std::uint64_t> next_flow_id_{1};
   std::vector<std::thread> workers_;
+  // Set by Shutdown before the queue closes: later submissions are
+  // rejected, hits included.
+  std::atomic<bool> shut_down_{false};
   std::once_flag shutdown_once_;
   std::uint64_t metrics_collector_ = 0;  // obs::MetricsRegistry handle
 };

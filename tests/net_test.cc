@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -1105,6 +1106,107 @@ TEST(NetServerHttp, TracezListsRecentSpansWithTraceIds) {
   ASSERT_NE(doc.Find("slowest"), nullptr);
   // Both the net frame span and the serve eval span carry the probe id.
   EXPECT_NE(body.find("tracez-probe-7"), std::string::npos) << body;
+}
+
+// Cache hits are answered on the connection's reader thread, into one
+// output buffer per read pass: eight pipelined frames of sixteen cached
+// requests cost far fewer send() calls than their 128 lines, and every
+// line still carries the in-process answer.
+TEST(NetServer, PipelinedCachedFramesLeaveInFewWrites) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  std::vector<PredictRequest> batch;
+  for (int i = 0; i < 16; ++i) {
+    batch.push_back(JpegRequest(4096.0 * (i + 1), 0.2));
+  }
+  const std::vector<PredictResponse> expected = ts.service.PredictBatch(batch);  // warms the cache
+  for (const PredictResponse& r : expected) {
+    ASSERT_TRUE(r.ok()) << r.error;
+  }
+
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  // All eight frames in one send, so the server can read them in one pass.
+  std::string frames;
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    EncodeRequestFrame(id, batch, &frames);
+  }
+  obs::MetricsRegistry::Counter& writes = obs::MetricsRegistry::Global().GetCounter(
+      "perfiface_net_write_calls_total", "");
+  const std::uint64_t writes_before = writes.value();
+  ASSERT_TRUE(client.SendRaw(frames, &error)) << error;
+
+  std::set<std::pair<std::uint64_t, std::size_t>> seen;
+  for (int i = 0; i < 128; ++i) {
+    WireResponse wire;
+    ASSERT_TRUE(client.ReadResponse(&wire, &error)) << error;
+    ASSERT_FALSE(wire.malformed) << wire.response.error;
+    ASSERT_LT(wire.index, expected.size());
+    EXPECT_GE(wire.id, 1u);
+    EXPECT_LE(wire.id, 8u);
+    const PredictResponse& want = expected[wire.index];
+    EXPECT_EQ(wire.response.status, want.status);
+    EXPECT_EQ(wire.response.value, want.value);
+    EXPECT_EQ(wire.response.throughput, want.throughput);
+    EXPECT_TRUE(wire.response.cache_hit);
+    EXPECT_TRUE(seen.emplace(wire.id, wire.index).second)
+        << "duplicate response " << wire.id << "/" << wire.index;
+  }
+  EXPECT_EQ(seen.size(), 128u);
+  EXPECT_GT(writes.value() - writes_before, 0u);
+  EXPECT_LT(writes.value() - writes_before, 128u);
+}
+
+// Regression: this well-formed frame drove a jpeg stripe delay negative
+// and aborted the whole server from inside the simulator; /healthz went
+// dark. It now earns an ERROR line and the server keeps serving.
+TEST(NetServer, OutOfRangeDelayEarnsErrorLineAndServerSurvives) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  ASSERT_TRUE(client.SendRaw(
+      "{\"id\":3,\"requests\":[{\"interface\":\"jpeg_decoder\",\"rep\":\"pnet\","
+      "\"entry_place\":\"hdr_in:1,vld_in:8\",\"attrs\":{\"bits\":-5,\"blocks\":8}}]}\n",
+      &error))
+      << error;
+  WireResponse wire;
+  ASSERT_TRUE(client.ReadResponse(&wire, &error)) << error;
+  EXPECT_FALSE(wire.malformed);
+  EXPECT_EQ(wire.id, 3u);
+  EXPECT_EQ(wire.response.status, PredictStatus::kError);
+  EXPECT_EQ(wire.response.error, "delay out of range");
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet("127.0.0.1", ts.server.port(), "/healthz", &status, &body, &error))
+      << error;
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+}
+
+// Regression: a non-finite value or throughput went out as a bare `inf` or
+// `nan`, which no JSON parser accepts. The encoder writes null instead.
+TEST(WireCodec, NonFiniteNumbersEncodeAsNull) {
+  PredictResponse resp;
+  resp.value = std::numeric_limits<double>::infinity();
+  resp.throughput = std::numeric_limits<double>::quiet_NaN();
+  resp.explain.filled = true;
+  resp.explain.shadowed = true;
+  resp.explain.shadow_truth = -std::numeric_limits<double>::infinity();
+  resp.explain.shadow_rel_err = 0.5;
+  std::string line;
+  EncodeResponseLine(1, 0, resp, &line);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(std::string_view(line).substr(0, line.size() - 1), &doc, &error))
+      << error << ": " << line;
+  EXPECT_EQ(doc.Find("value")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.Find("throughput")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.Find("explain")->Find("shadow_truth")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.Find("explain")->Find("shadow_rel_err")->number, 0.5);
 }
 
 TEST(NetServerHttp, PostPredictRejectsBadBody) {

@@ -1608,6 +1608,56 @@ TEST(AdmissionControl, IdenticalArrivalSchedulesProduceIdenticalDecisions) {
   EXPECT_EQ(kinds.size(), 3u);
 }
 
+// Holds the service's only worker inside a completion callback until the
+// test opens it, so requests submitted meanwhile are known to wait in the
+// queue (not merely likely to).
+class WorkerGate {
+ public:
+  // Called by the worker: announces its arrival, then blocks until Open.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    arrived_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  // Called by the test: blocks until the worker is held.
+  void AwaitWorker() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return arrived_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool arrived_ = false;
+  bool open_ = false;
+};
+
+// Submits four identical blockers whose first completion holds the single
+// worker at `gate`, and returns once it is held; the other three wait in
+// the queue behind it.
+PredictionService::BatchHandle BlockTheWorker(PredictionService* service, WorkerGate* gate) {
+  std::vector<PredictRequest> blockers;
+  for (int i = 0; i < 4; ++i) {
+    blockers.push_back(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:64"));
+  }
+  PredictionService::BatchHandle handle =
+      service->SubmitBatch(blockers, [gate](std::size_t index, const PredictResponse&) {
+        if (index == 0) {
+          gate->Wait();
+        }
+      });
+  gate->AwaitWorker();
+  return handle;
+}
+
 // Regression: a deadline that expires while the request sits in the queue
 // is answered at dequeue, before any cache or registry work — it must not
 // be charged to the eval-path request counters. The pre-fix behavior
@@ -1621,22 +1671,23 @@ TEST(PredictionServiceAdmission, QueueExpiredDetectedAtDequeueWithoutEvalCharges
   options.enable_pnet_memo = false;
   PredictionService service(InterfaceRegistry::Default(), options);
 
-  // Keep the single worker busy so the deadlined request queues. The
-  // blockers carry no deadline (background band), so the doomed request
-  // overtakes them — but at least one blocker is already on the worker,
-  // which is all the wait a 1 us deadline needs.
-  std::vector<PredictRequest> blockers;
-  for (int i = 0; i < 4; ++i) {
-    blockers.push_back(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:64"));
-  }
-  PredictionService::BatchHandle blocked = service.SubmitBatch(blockers);
+  // Hold the single worker so the deadlined request queues. The blockers
+  // carry no deadline (background band), so the doomed request overtakes
+  // them once the worker is released — 40 ms after it was submitted,
+  // twice its deadline. The deadline is long enough to outlive the cache
+  // probe at submission (which answers an already-expired deadline
+  // itself), even under a sanitizer.
+  WorkerGate gate;
+  PredictionService::BatchHandle blocked = BlockTheWorker(&service, &gate);
 
   PredictRequest doomed = JpegRequest(65536, 0.2);
-  doomed.deadline_us = 1;
+  doomed.deadline_us = 20'000;
   doomed.explain = true;
   doomed.tenant = "acme";
-  const std::vector<PredictRequest> one{doomed};
-  const std::vector<PredictResponse> responses = service.PredictBatch(one);
+  PredictionService::BatchHandle doomed_handle = service.SubmitBatch({doomed});
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  gate.Open();
+  const std::vector<PredictResponse> responses = doomed_handle.Responses();
   (void)blocked.Responses();
 
   ASSERT_EQ(responses.size(), 1u);
@@ -1656,6 +1707,173 @@ TEST(PredictionServiceAdmission, QueueExpiredDetectedAtDequeueWithoutEvalCharges
   EXPECT_EQ(service.metrics().deadline_exceeded(), 1u);
   EXPECT_EQ(service.metrics().cache_misses(), 1u);
   EXPECT_EQ(service.metrics().cache_hits(), 3u);
+}
+
+// Cache hits resolve on the submitting thread, before SubmitBatch returns,
+// even while the only worker is busy: they never enter the queue. Misses
+// in the same batch still go to the worker, and admission still runs
+// before the probe, so a tenant over its quota cannot get around it
+// through the cache.
+TEST(PredictionServiceAdmission, CacheHitsResolveOnTheSubmittingThread) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.batch_chunk = 1;
+  options.cache_capacity = 256;
+  options.enable_pnet_memo = false;
+  TenantQuota quota;
+  quota.qps = 0.001;  // refill is negligible within the test
+  quota.burst = 2.0;
+  options.admission.tenant_quotas.emplace_back("metered", quota);
+  PredictionService service(InterfaceRegistry::Default(), options);
+
+  std::vector<PredictRequest> cached;
+  for (int i = 0; i < 16; ++i) {
+    PredictRequest req = JpegRequest(1024.0 * (i + 1), 0.2);
+    req.explain = true;
+    cached.push_back(req);
+  }
+  const std::vector<PredictResponse> warm = service.PredictBatch(cached);
+  for (const PredictResponse& r : warm) {
+    ASSERT_TRUE(r.ok()) << r.error;
+  }
+
+  // Hold the single worker, as in the queue-expiry test above.
+  WorkerGate gate;
+  PredictionService::BatchHandle blocked = BlockTheWorker(&service, &gate);
+
+  const std::thread::id submitter = std::this_thread::get_id();
+  const std::uint64_t hits0 = service.metrics().cache_hits();
+  const std::uint64_t misses0 = service.metrics().cache_misses();
+  std::mutex mu;
+  std::vector<std::thread::id> callback_threads(16);
+  PredictionService::BatchHandle hits =
+      service.SubmitBatch(cached, [&](std::size_t index, const PredictResponse&) {
+        std::lock_guard<std::mutex> lock(mu);
+        callback_threads[index] = std::this_thread::get_id();
+      });
+  EXPECT_TRUE(hits.done()) << "every hit must resolve before SubmitBatch returns";
+  EXPECT_EQ(service.metrics().cache_hits() - hits0, 16u);
+  EXPECT_EQ(service.metrics().cache_misses() - misses0, 0u);
+  const std::vector<PredictResponse>& hit_responses = hits.Responses();
+  for (std::size_t i = 0; i < hit_responses.size(); ++i) {
+    const PredictResponse& r = hit_responses[i];
+    EXPECT_EQ(callback_threads[i], submitter) << i;
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.cache_hit);
+    EXPECT_EQ(r.value, warm[i].value);
+    ASSERT_TRUE(r.explain.filled);
+    EXPECT_EQ(r.explain.representation, "cache");
+    EXPECT_EQ(r.explain.cache, "hit");
+  }
+
+  // Mixed batch: even indices cached, odd ones new. The hits are answered
+  // before SubmitBatch returns; the misses wait for the worker.
+  std::vector<PredictRequest> mixed;
+  for (int i = 0; i < 8; ++i) {
+    mixed.push_back(cached[i]);
+    mixed.push_back(JpegRequest(777.0 + i, 0.3));
+    mixed.back().explain = true;
+  }
+  std::vector<std::thread::id> mixed_threads(mixed.size());
+  std::atomic<int> streamed{0};
+  PredictionService::BatchHandle mixed_handle =
+      service.SubmitBatch(mixed, [&](std::size_t index, const PredictResponse&) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          mixed_threads[index] = std::this_thread::get_id();
+        }
+        streamed.fetch_add(1);
+      });
+  EXPECT_EQ(streamed.load(), 8);
+  EXPECT_FALSE(mixed_handle.done());
+  gate.Open();
+  const std::vector<PredictResponse>& mixed_responses = mixed_handle.Responses();
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    ASSERT_TRUE(mixed_responses[i].ok()) << mixed_responses[i].error;
+    const bool hit = i % 2 == 0;
+    EXPECT_EQ(mixed_responses[i].cache_hit, hit) << i;
+    if (hit) {
+      EXPECT_EQ(mixed_threads[i], submitter) << i;
+    } else {
+      EXPECT_NE(mixed_threads[i], submitter) << i;
+      EXPECT_EQ(mixed_responses[i].explain.cache, "miss") << i;
+    }
+  }
+
+  // Over quota: the burst admits two hits, the rest are shed before the
+  // probe and never touch the cache counters.
+  std::vector<PredictRequest> metered(cached.begin(), cached.begin() + 5);
+  for (PredictRequest& req : metered) {
+    req.tenant = "metered";
+  }
+  const std::uint64_t hits1 = service.metrics().cache_hits();
+  const std::uint64_t misses1 = service.metrics().cache_misses();
+  PredictionService::BatchHandle shed = service.SubmitBatch(metered);
+  EXPECT_TRUE(shed.done());
+  const std::vector<PredictResponse>& shed_responses = shed.Responses();
+  for (std::size_t i = 0; i < shed_responses.size(); ++i) {
+    if (i < 2) {
+      EXPECT_TRUE(shed_responses[i].cache_hit) << i;
+      continue;
+    }
+    EXPECT_EQ(shed_responses[i].status, PredictStatus::kRejected) << i;
+    EXPECT_NE(shed_responses[i].error.find("quota"), std::string::npos);
+    EXPECT_EQ(shed_responses[i].explain.cache, "not_consulted");
+  }
+  EXPECT_EQ(service.metrics().cache_hits() - hits1, 2u);
+  EXPECT_EQ(service.metrics().cache_misses() - misses1, 0u);
+  (void)blocked.Responses();
+}
+
+// An interface whose arithmetic overflows answers ERROR instead of OK with
+// an infinite value (which went out as a bare `inf`: invalid JSON), and
+// the error is never cached.
+TEST(PredictionService, NonFiniteResultIsAnErrorAndNeverCached) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 64;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  PredictRequest req;
+  req.interface = "compressor";
+  req.function = "latency_compress";
+  req.attrs = {{"input_bytes", 1e308}, {"matches", 1e308}, {"tokens", 0.0}};
+  for (int round = 0; round < 2; ++round) {
+    const PredictResponse r = service.Predict(req);
+    EXPECT_EQ(r.status, PredictStatus::kError) << round;
+    EXPECT_EQ(r.error, "non-finite result");
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_TRUE(std::isfinite(r.value));
+    EXPECT_TRUE(std::isfinite(r.throughput));
+  }
+  EXPECT_EQ(service.metrics().cache_hits(), 0u);
+  EXPECT_EQ(service.cache().size(), 0u);
+}
+
+// A delay expression driven out of range by the workload (negative or NaN
+// bits) used to abort the process from inside the simulator. It answers
+// ERROR, and nothing is memoized or cached, with the memo on or off.
+TEST(PredictionService, OutOfRangeDelayIsAnErrorNotAnAbort) {
+  for (const bool memo : {true, false}) {
+    PnetMemoTable::Global().Clear();
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.enable_pnet_memo = memo;
+    PredictionService service(InterfaceRegistry::Default(), options);
+    for (const double bits : {-5.0, std::numeric_limits<double>::quiet_NaN()}) {
+      PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+      req.attrs = {{"bits", bits}, {"blocks", 8.0}};
+      for (int round = 0; round < 2; ++round) {
+        const PredictResponse r = service.Predict(req);
+        EXPECT_EQ(r.status, PredictStatus::kError) << bits << " memo " << memo;
+        EXPECT_EQ(r.error, "delay out of range");
+        EXPECT_FALSE(r.cache_hit);
+      }
+    }
+    // The second round erred too, so no bogus result was memoized.
+    EXPECT_EQ(service.cache().size(), 0u);
+    // The service is still whole: a valid query right after answers.
+    EXPECT_TRUE(service.Predict(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8")).ok());
+  }
 }
 
 TEST(PredictionServiceAdmission, TenantExcludedFromCacheKeyButEchoed) {

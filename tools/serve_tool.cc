@@ -84,6 +84,7 @@
 #include "src/common/strings.h"
 #include "src/core/registry.h"
 #include "src/net/client.h"
+#include "src/net/wire.h"
 #include "src/obs/trace.h"
 #include "src/serve/service.h"
 
@@ -380,17 +381,32 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
 void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool json,
                    bool show_trace = false) {
   if (json) {
-    std::string attrs;
-    for (const auto& kv : req.attrs) {
-      attrs += StrFormat("%s\"%s\":%.17g", attrs.empty() ? "" : ",", kv.first.c_str(), kv.second);
+    // Strings are escaped and non-finite numbers written as null, so every
+    // line parses as JSON whatever the request or the interface produced.
+    std::string line = "{\"interface\":";
+    net::AppendJsonString(&line, req.interface);
+    line += ",\"function\":";
+    net::AppendJsonString(&line, req.function);
+    line += ",\"attrs\":{";
+    for (std::size_t i = 0; i < req.attrs.size(); ++i) {
+      line += i == 0 ? "" : ",";
+      net::AppendJsonString(&line, req.attrs[i].first);
+      line += ':';
+      net::AppendJsonNumber(&line, req.attrs[i].second);
     }
-    std::string extras;
+    line += StrFormat("},\"status\":\"%s\",\"value\":", PredictStatusName(resp.status));
+    net::AppendJsonNumber(&line, resp.value);
+    line += ",\"throughput\":";
+    net::AppendJsonNumber(&line, resp.throughput);
+    line += StrFormat(",\"cache_hit\":%s,\"eval_ns\":%llu", resp.cache_hit ? "true" : "false",
+                      static_cast<unsigned long long>(resp.eval_ns));
     if (!resp.trace_id.empty()) {
-      extras += StrFormat(",\"trace_id\":\"%s\"", resp.trace_id.c_str());
+      line += ",\"trace_id\":";
+      net::AppendJsonString(&line, resp.trace_id);
     }
     if (resp.explain.filled) {
       const ExplainInfo& ex = resp.explain;
-      extras += StrFormat(
+      line += StrFormat(
           ",\"explain\":{\"representation\":\"%s\",\"cache\":\"%s\","
           "\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,"
           "\"memo_components\":%llu,\"memo_hits\":%llu,\"derived_hits\":%llu,"
@@ -405,14 +421,12 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
           static_cast<unsigned long long>(ex.param_hits), ex.deadline_limited ? "true" : "false",
           ex.shadowed ? "true" : "false");
     }
-    std::printf(
-        "{\"interface\":\"%s\",\"function\":\"%s\",\"attrs\":{%s},\"status\":\"%s\","
-        "\"value\":%.17g,\"throughput\":%.17g,\"cache_hit\":%s,\"eval_ns\":%llu%s%s%s%s}\n",
-        req.interface.c_str(), req.function.c_str(), attrs.c_str(),
-        PredictStatusName(resp.status), resp.value, resp.throughput,
-        resp.cache_hit ? "true" : "false", static_cast<unsigned long long>(resp.eval_ns),
-        extras.c_str(), resp.error.empty() ? "" : ",\"error\":\"", resp.error.c_str(),
-        resp.error.empty() ? "" : "\"");
+    if (!resp.error.empty()) {
+      line += ",\"error\":";
+      net::AppendJsonString(&line, resp.error);
+    }
+    line += "}\n";
+    std::fputs(line.c_str(), stdout);
     return;
   }
   const std::string trace_suffix =
