@@ -11,9 +11,10 @@
 // The numbers printed here are the baseline later PRs must not regress:
 // scaling 1 -> 8 workers on the cached mix should be >= 4x, and a
 // cache-enabled run must beat cache-disabled on the Zipf workload.
-// Besides the human-readable table, the run writes BENCH_serve.json at the
-// repo root: the same rows in machine-readable form plus the host core
-// count, so CI (and later PRs) can diff throughput without scraping stdout.
+// Besides the human-readable table, the run writes BENCH_serve.json into
+// the working directory: the same rows in machine-readable form plus the
+// host core count, so CI (and later PRs) can diff throughput without
+// scraping stdout.
 //
 // PR 3 adds two rows the hot-path overhaul is judged by:
 //
@@ -23,12 +24,6 @@
 //   4. async pipeline                 -> one client thread keeping >= 4
 //      batches in flight via SubmitBatch vs the same batches issued
 //      blocking; target qps >= blocking
-//
-// PR 4 adds the row the bytecode compiler is judged by:
-//
-//   5. psc compile sweep              -> program-interface queries only
-//      (response cache off, so every query evaluates), bytecode VM vs the
-//      tree-walking interpreter; target >= 3x on mean latency
 //
 // PR 5 adds the row the network front end is judged by:
 //
@@ -54,17 +49,13 @@
 //      gate-open probe predictions whose relative error against a
 //      param-off ground-truth run exceeds the serving residual bound
 //
-// PR 9 adds the rows the unified expression IR is judged by:
+// The unified expression IR is judged by:
 //
 //  10. derived interface sweep       -> unique-attr deterministic-path
 //      jpeg pnet queries inside the distilled probe hull, derived tier
 //      off vs on with every cache cold; target >= 5x on mean latency AND
 //      bit-identical values on an audited probe set (the distiller's
 //      exactness contract measured end to end)
-//  11. expr superinstruction micro   -> an expr-heavy pipeline net driven
-//      straight through PetriSim, register-bytecode fast path off vs on
-//      over an identical workload stream; target >= 1.3x with zero
-//      quiesce-time divergence
 //
 // PR 10 adds the rows SLO-aware admission control is judged by:
 //
@@ -104,17 +95,13 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
-#include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/trace.h"
-#include "src/petri/compiled_net.h"
 #include "src/petri/distill.h"
 #include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
-#include "src/petri/sim.h"
-#include "src/petri/token.h"
 #include "src/serve/service.h"
 
 namespace perfiface::serve {
@@ -355,44 +342,6 @@ double DriveMeanLatencyUs(PredictionService* service,
   }
   const auto t1 = std::chrono::steady_clock::now();
   return Seconds(t0, t1) * 1e6 / static_cast<double>(total);
-}
-
-// Program-interface-only population for the compile sweep: recursive
-// Protoacc trees (hundreds of sub-messages, so the per-node interpreter
-// overhead dominates), the deserializer's scalar pipeline model, and the
-// JPEG Fig 2 latency program. No pnet queries — those never touch the VM.
-std::vector<PredictRequest> BuildProgramPopulation(std::size_t distinct, std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  std::vector<PredictRequest> population;
-  population.reserve(distinct);
-  for (std::size_t i = 0; i < distinct; ++i) {
-    PredictRequest req;
-    switch (i % 3) {
-      case 0:
-        req.interface = "protoacc";
-        req.function = "tput_protoacc_ser";
-        req.attrs = {{"num_fields", static_cast<double>(1 + rng.NextBelow(64))},
-                     {"num_writes", static_cast<double>(1 + rng.NextBelow(48))}};
-        req.children = static_cast<int>(100 + rng.NextBelow(300));
-        break;
-      case 1:
-        req.interface = "protoacc_deser";
-        req.function = "tput_protoacc_deser";
-        req.attrs = {{"wire_bytes", static_cast<double>(64 + rng.NextBelow(65536))},
-                     {"total_fields", static_cast<double>(1 + rng.NextBelow(512))},
-                     {"total_nodes", static_cast<double>(1 + rng.NextBelow(64))},
-                     {"varint_extra", static_cast<double>(rng.NextBelow(128))}};
-        break;
-      default:
-        req.interface = "jpeg_decoder";
-        req.function = "latency_jpeg_decode";
-        req.attrs = {{"orig_size", static_cast<double>(1024 + rng.NextBelow(262144))},
-                     {"compress_rate", 0.1 + 0.01 * static_cast<double>(rng.NextBelow(60))}};
-        break;
-    }
-    population.push_back(std::move(req));
-  }
-  return population;
 }
 
 struct AsyncResult {
@@ -909,34 +858,6 @@ int main(int argc, char** argv) {
                  ? "[skipped: needs >= 4 cores]"
                  : "[ASYNC NOT KEEPING UP]"));
 
-  // --- Sweep 5: program queries, bytecode VM vs tree-walker -------------
-  // Response cache OFF on both sides so every query actually evaluates its
-  // program; the population is program-interface-only (pnet queries never
-  // touch either backend). Same service shape otherwise — the only delta
-  // is enable_psc_compile, so the ratio is the compiler's contribution on
-  // the uncached path.
-  const std::size_t kPscDistinct = smoke ? 48 : 192;
-  const std::size_t kPscQueries = smoke ? 1'500 : 20'000;
-  const std::vector<PredictRequest> programs = BuildProgramPopulation(kPscDistinct, 0xc0de);
-  double psc_mean_compiled = 0;
-  double psc_mean_interp = 0;
-  for (const bool compiled : {false, true}) {
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_capacity = 0;
-    options.enable_psc_compile = compiled;
-    PredictionService service(InterfaceRegistry::Default(), options);
-    const double mean_us = DriveMeanLatencyUs(&service, programs, kPscQueries, kBatch);
-    (compiled ? psc_mean_compiled : psc_mean_interp) = mean_us;
-  }
-  const double psc_speedup = psc_mean_compiled > 0 ? psc_mean_interp / psc_mean_compiled : 0;
-  const char* psc_verdict = psc_speedup >= 3.0 ? "ok" : "below_3x_target";
-  std::printf(
-      "\npsc compile sweep (%zu distinct program queries, %zu total, response cache off):\n"
-      "  tree-walk %.2f us/query, bytecode VM %.2f us/query -> %.2fx  %s\n",
-      kPscDistinct, kPscQueries, psc_mean_interp, psc_mean_compiled, psc_speedup,
-      psc_speedup >= 3.0 ? "[ok: >= 3x]" : "[BELOW 3x TARGET]");
-
   // --- Sweep 6: loopback TCP vs in-process async ------------------------
   // The same pipelined batches as sweep 4, driven through the NDJSON
   // server over 127.0.0.1. The in-process async row above is the ceiling;
@@ -1248,125 +1169,6 @@ int main(int argc, char** argv) {
       std::strcmp(derived_verdict, "ok") == 0 ? "[ok: >= 5x, bit-identical]"
                                               : "[DERIVED ROW REGRESSED]");
 
-  // --- Micro-row: expression superinstruction fast path -----------------
-  // An expr-heavy pipeline net driven straight through PetriSim (no
-  // serving layer): four stages whose delay *and* guard expressions are
-  // deep enough that evaluation, not event-heap bookkeeping, dominates
-  // each firing — the workload the register bytecode and its fused
-  // superinstructions exist for. Fast path off vs on over an identical
-  // attr stream; the two modes are bit-identical by contract
-  // (src/petri/sim.h), so any quiesce-time mismatch counts as divergence
-  // and fails the row outright.
-  const std::size_t kExprStages = 4;
-  const std::size_t kExprTermsPerDelay = 96;
-  const std::size_t kExprReps = smoke ? 256 : 2'048;
-  const std::size_t kExprTokens = 64;
-  double expr_secs_off = 0;
-  double expr_secs_on = 0;
-  double expr_median_speedup = 0;
-  std::size_t expr_divergence = 0;
-  {
-    // Each stage's delay is a long, fusable chain — mul-add groups, const
-    // min/max clamps, prime moduli — generated rather than hand-written so
-    // depth is one constant. Guards are attr-dependent (never constant, so
-    // the register guard route is exercised) but always true for the
-    // nonnegative attrs the driver injects.
-    std::string expr_net_text = "net exprheavy\nattr x\nattr y\n";
-    for (std::size_t p = 0; p <= kExprStages; ++p) {
-      expr_net_text += StrFormat("place q%zu\n", p);
-    }
-    const unsigned primes[] = {127, 149, 191, 227, 233, 251, 283, 311, 359,
-                               421, 431, 499, 509, 541, 577, 593, 613, 641,
-                               647, 683, 709, 733, 769, 821, 883, 919};
-    const char* guards[] = {"x + y * 2 >= 1 and x * 3 + 1 > 0",
-                            "max(x, y) >= 0 and y + 1 > 0",
-                            "x * y + 1 > 0 and x >= 0",
-                            "x + 1 > 0 and y * 2 >= 0"};
-    for (std::size_t s = 0; s < kExprStages; ++s) {
-      std::string delay = StrFormat("(x * %zu + y * %zu + %zu) %% 8191", 2 + s, 3 + s, 5 + s);
-      for (std::size_t t = 0; t < kExprTermsPerDelay; ++t) {
-        const std::size_t v = s * kExprTermsPerDelay + t;
-        const unsigned prime = primes[v % (sizeof(primes) / sizeof(primes[0]))];
-        switch (t % 4) {
-          case 0:
-            delay += StrFormat(" + ((x * %zu + y * %zu) * %zu + %zu) %% %u", 2 + v % 7,
-                               1 + v % 5, 2 + v % 3, 3 + v, prime);
-            break;
-          case 1:
-            delay += StrFormat(" + max(min(y * %zu + %zu, %zu), %zu)", 2 + v % 8, 3 + v,
-                               8'000 + 900 * (v % 50), 8 + v % 56);
-            break;
-          case 2:
-            delay += StrFormat(" + (x * %zu + y * %zu + %zu) %% %u", 1 + v % 9, 2 + v % 7,
-                               7 + v, prime);
-            break;
-          default:
-            delay += StrFormat(" + min(x * %zu + %zu, %zu) / %zu", 2 + v % 6, 2 + v,
-                               30'000 + 1'000 * (v % 60), 3 + v % 28);
-            break;
-        }
-      }
-      expr_net_text += StrFormat("trans s%zu in=q%zu out=q%zu guard=\"%s\" delay=\"%s\"\n",
-                                 s + 1, s, s + 1, guards[s % 4], delay.c_str());
-    }
-    const LoadedNet expr_loaded = LoadPnet(expr_net_text);
-    PI_CHECK_MSG(expr_loaded.ok(), expr_loaded.error.c_str());
-    const CompiledNet expr_cnet(expr_loaded.net.get());
-    const PlaceId q0 = expr_loaded.net->PlaceByName("q0");
-    // Modes interleave per rep (off, on, off, on, ...) with a shared seed
-    // per rep, so clock drift and thermal throttling hit both sides
-    // equally and the quiesce-time comparison sees identical attr streams.
-    // The verdict statistic is the *median* of per-rep speedups: a noisy
-    // neighbor stealing the core for a few reps shifts the tails, not the
-    // median, so the row does not flap on shared hosts.
-    std::vector<double> expr_rep_ratio;
-    expr_rep_ratio.reserve(kExprReps);
-    for (std::size_t rep = 0; rep < kExprReps; ++rep) {
-      Cycles now_off = 0;
-      Cycles now_on = 0;
-      double rep_secs_off = 0;
-      double rep_secs_on = 0;
-      for (const bool fastpath : {false, true}) {
-        SplitMix64 rng(DeriveSeed(0x90de, rep));
-        PetriSim sim(&expr_cnet);
-        sim.set_expr_fastpath(fastpath);
-        for (std::size_t i = 0; i < kExprTokens; ++i) {
-          Token tok;
-          tok.attrs = {static_cast<double>(rng.NextBelow(10'000)),
-                       static_cast<double>(rng.NextBelow(10'000))};
-          sim.Inject(q0, tok);
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        PI_CHECK(sim.Run(1ULL << 40));
-        const auto t1 = std::chrono::steady_clock::now();
-        (fastpath ? rep_secs_on : rep_secs_off) = Seconds(t0, t1);
-        (fastpath ? now_on : now_off) = sim.now();
-      }
-      expr_secs_off += rep_secs_off;
-      expr_secs_on += rep_secs_on;
-      if (rep_secs_on > 0) {
-        expr_rep_ratio.push_back(rep_secs_off / rep_secs_on);
-      }
-      if (now_on != now_off) {
-        ++expr_divergence;
-      }
-    }
-    std::sort(expr_rep_ratio.begin(), expr_rep_ratio.end());
-    expr_median_speedup =
-        expr_rep_ratio.empty() ? 0 : expr_rep_ratio[expr_rep_ratio.size() / 2];
-  }
-  const double expr_speedup = expr_median_speedup;
-  const char* expr_verdict = expr_divergence != 0
-                                 ? "fastpath_divergence_nonzero"
-                                 : (expr_speedup >= 1.3 ? "ok" : "below_1p3x_target");
-  std::printf(
-      "\nexpr superinstruction micro (%zu direct sim runs, %zu tokens through 4 expr-heavy "
-      "stages):\n"
-      "  fastpath off %.4fs, fastpath on %.4fs -> median %.2fx, %zu divergence(s)  %s\n",
-      kExprReps, kExprTokens, expr_secs_off, expr_secs_on, expr_speedup, expr_divergence,
-      std::strcmp(expr_verdict, "ok") == 0 ? "[ok: >= 1.3x, bit-identical]"
-                                           : "[EXPR ROW REGRESSED]");
-
   // --- Tracing overhead -------------------------------------------------
   // Same config twice: tracer off (the shipped default — this is the row
   // later PRs diff against the pre-instrumentation baseline) vs tracer on
@@ -1605,7 +1407,7 @@ int main(int argc, char** argv) {
       std::strcmp(isolation_verdict, "ok") == 0 ? "[ok: bully contained]"
                                                 : "[ISOLATION ROW REGRESSED]");
 
-  // --- Machine-readable dump (BENCH_serve.json, repo root) --------------
+  // --- Machine-readable dump (BENCH_serve.json, working directory) ------
   std::string json = "{\n";
   json += StrFormat("  \"bench\": \"serve_throughput\",\n  \"smoke\": %s,\n  \"host_cores\": %u,\n",
                     smoke ? "true" : "false", std::thread::hardware_concurrency());
@@ -1640,11 +1442,6 @@ int main(int argc, char** argv) {
       "\"max_inflight_observed\": %zu, \"verdict\": \"%s\"},\n",
       kWindow, kAsyncBatches, kAsyncBatch, qps_blocking, async_result.qps, async_ratio,
       async_result.max_inflight, async_verdict);
-  json += StrFormat(
-      "  \"psc_compile_sweep\": {\"distinct\": %zu, \"queries\": %zu, "
-      "\"mean_us_interp\": %.2f, \"mean_us_compiled\": %.2f, \"speedup\": %.3f, "
-      "\"verdict\": \"%s\"},\n",
-      kPscDistinct, kPscQueries, psc_mean_interp, psc_mean_compiled, psc_speedup, psc_verdict);
   json += StrFormat(
       "  \"net_loopback\": {\"window\": %zu, \"batches\": %zu, \"batch\": %zu, "
       "\"qps_tcp\": %.1f, \"qps_inprocess_async\": %.1f, \"ratio\": %.3f, "
@@ -1683,12 +1480,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(derived_models), derived_probe_hits, derived_divergence,
       derived_verdict);
   json += StrFormat(
-      "  \"expr_superinstr\": {\"reps\": %zu, \"tokens\": %zu, \"secs_fastpath_off\": %.4f, "
-      "\"secs_fastpath_on\": %.4f, \"median_speedup\": %.3f, \"divergence\": %zu, "
-      "\"verdict\": \"%s\"},\n",
-      kExprReps, kExprTokens, expr_secs_off, expr_secs_on, expr_speedup, expr_divergence,
-      expr_verdict);
-  json += StrFormat(
       "  \"admission_sweep\": {\"count\": %zu, \"trials\": %d, \"mean_service_us\": %.2f, "
       "\"deadline_us\": %lld, \"p99_uncontended_us\": %.2f, \"p99_admitted_us\": %.2f, "
       "\"p999_admitted_us\": %.2f, \"p50_admitted_us\": %.2f, \"p99_fifo_us\": %.2f, "
@@ -1713,7 +1504,7 @@ int main(int argc, char** argv) {
       "  \"trace_overhead\": {\"qps_disabled\": %.1f, \"qps_enabled_1_in_64\": %.1f}\n",
       qps_trace_off, qps_trace_on);
   json += "}\n";
-  const std::string out_path = std::string(PERFIFACE_SOURCE_DIR) + "/BENCH_serve.json";
+  const std::string out_path = "BENCH_serve.json";
   if (WriteFile(out_path, json)) {
     std::printf("wrote %s\n", out_path.c_str());
   } else {

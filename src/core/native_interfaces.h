@@ -1,9 +1,10 @@
 // Native (C++) mirrors of the shipped PerfScript interface programs.
 //
-// Two purposes: (1) tests cross-validate the PerfScript interpreter against
-// these closed forms — the shipped program and the mirror must agree to the
-// last ulp-ish; (2) tools that want predictions without embedding the
-// interpreter (e.g. the SoC design-space explorer) can call these directly.
+// Two purposes: (1) tests cross-validate the shipped PerfScript programs,
+// run on the bytecode VM, against these closed forms — the program and the
+// mirror must agree to the last ulp-ish; (2) tools that want predictions
+// without loading a program (e.g. the SoC design-space explorer) can call
+// these directly.
 #ifndef SRC_CORE_NATIVE_INTERFACES_H_
 #define SRC_CORE_NATIVE_INTERFACES_H_
 

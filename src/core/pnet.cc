@@ -10,7 +10,6 @@
 #include "src/common/loc.h"
 #include "src/common/strings.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/parser.h"
 
 namespace perfiface {

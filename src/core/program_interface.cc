@@ -24,7 +24,6 @@ ProgramInterface ProgramInterface::FromFile(const std::string& path) {
 void ProgramInterface::SetConstant(const std::string& name, double value) {
   // Constants are folded into the bytecode, so any compiled form is stale.
   compiled_ = nullptr;
-  compile_error_.clear();
   for (auto& c : constants_) {
     if (c.first == name) {
       c.second = value;
@@ -34,37 +33,23 @@ void ProgramInterface::SetConstant(const std::string& name, double value) {
   constants_.emplace_back(name, value);
 }
 
+std::shared_ptr<const CompiledProgram> ProgramInterface::CompileOrDie() const {
+  CompileProgramResult result = CompileProgram(*program_, constants_);
+  PI_CHECK_MSG(result.ok(), result.error.c_str());
+  return std::move(result.program);
+}
+
 void ProgramInterface::Compile() {
   if (compiled_ != nullptr) {
     return;
   }
   obs::SpanGuard span("psc", "compile");
-  CompileProgramResult result = CompileProgram(*program_, constants_);
-  if (result.ok()) {
-    compiled_ = std::move(result.program);
-    compile_error_.clear();
-  } else {
-    compile_error_ = result.reason;
-  }
-  if (span.active()) {
-    span.SetArg("compiled", compiled_ != nullptr ? 1.0 : 0.0);
-    if (!compile_error_.empty()) {
-      span.SetArg("fallback_reason", compile_error_);
-    }
-  }
+  compiled_ = CompileOrDie();
 }
 
 double ProgramInterface::Eval(const std::string& function, const ScriptObject& workload) const {
-  if (compiled_ != nullptr) {
-    Vm vm(compiled_);
-    return vm.Call(function, {Value::Object(&workload)}).Num();
-  }
-  Interpreter interp(program_.get());
-  for (const auto& c : constants_) {
-    interp.SetGlobal(c.first, c.second);
-  }
-  const EvalResult result = interp.Call(function, {Value::Object(&workload)});
-  return result.Num();
+  Vm vm(compiled_ != nullptr ? compiled_ : CompileOrDie());
+  return vm.Call(function, {Value::Object(&workload)}).Num();
 }
 
 bool ProgramInterface::Has(const std::string& function) const {

@@ -2,24 +2,25 @@
 //
 // A ProgramInterface loads a PerfScript source file shipped with the
 // accelerator, holds the parsed program, and evaluates its prediction
-// functions against workload descriptors. This mirrors how the paper
-// envisions vendors shipping small Python programs alongside hardware.
+// functions against workload descriptors on the bytecode Vm. This mirrors
+// how the paper envisions vendors shipping small Python programs alongside
+// hardware.
 //
 // Thread-safety: after construction, SetConstant, and Compile calls are
-// done, the object is effectively immutable — Eval builds a private
-// Interpreter (or Vm) per call, so concurrent Eval from many threads is
-// safe. Callers that want to amortize even that (one interpreter/VM per
-// worker thread) can share the parsed program via program()/constants() and
-// the bytecode via compiled(); see src/serve.
+// done, the object is effectively immutable — Eval builds a private Vm per
+// call, so concurrent Eval from many threads is safe. Callers that want to
+// amortize even that (one Vm per worker thread) share the bytecode via
+// compiled(); see src/serve.
 #ifndef SRC_CORE_PROGRAM_INTERFACE_H_
 #define SRC_CORE_PROGRAM_INTERFACE_H_
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/perfscript/ast.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/value.h"
 
 namespace perfiface {
@@ -38,23 +39,18 @@ class ProgramInterface {
 
   // Lowers the program to register bytecode with the current constants
   // folded in (perfscript/compile.h). Idempotent; called by the registry
-  // after all constants are set. Programs outside the compilable subset
-  // (see CompileProgram) leave compiled() null and record compile_error();
-  // Eval then transparently falls back to the tree-walking interpreter.
+  // after all constants are set. Aborts, like a syntax error, if the
+  // program exceeds a bytecode size limit.
   void Compile();
 
-  // The compiled bytecode, or nullptr if Compile was never called, a
-  // constant changed since, or the program fell outside the compilable
-  // subset. Immutable and freely shared across threads (each Vm keeps its
-  // own mutable state).
+  // The compiled bytecode, or nullptr if Compile was never called or a
+  // constant changed since. Immutable and freely shared across threads
+  // (each Vm keeps its own mutable state).
   const std::shared_ptr<const CompiledProgram>& compiled() const { return compiled_; }
 
-  // Why compiled() is null after Compile(): the first fallback reason, or
-  // empty if compilation succeeded / was never attempted.
-  const std::string& compile_error() const { return compile_error_; }
-
   // Evaluates `function(workload)`; aborts with the script error message on
-  // runtime failure.
+  // runtime failure. Without a current compiled() form (no Compile() since
+  // the last SetConstant) the program is compiled for this call only.
   double Eval(const std::string& function, const ScriptObject& workload) const;
 
   // True if the program defines `function` (interfaces expose different
@@ -63,19 +59,19 @@ class ProgramInterface {
 
   const std::string& source() const { return source_; }
 
-  // The parsed program and the constants applied to it, for callers that
-  // build their own per-thread Interpreters over the shared parse.
+  // The parsed program and the constants applied to it.
   const std::shared_ptr<Program>& program() const { return program_; }
   const std::vector<std::pair<std::string, double>>& constants() const { return constants_; }
 
  private:
   ProgramInterface() = default;
 
+  std::shared_ptr<const CompiledProgram> CompileOrDie() const;
+
   std::string source_;
   std::shared_ptr<Program> program_;
   std::vector<std::pair<std::string, double>> constants_;
   std::shared_ptr<const CompiledProgram> compiled_;
-  std::string compile_error_;
 };
 
 }  // namespace perfiface

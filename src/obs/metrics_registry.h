@@ -2,7 +2,7 @@
 //
 // Two kinds of data feed the exposition:
 //  - Counters owned by the registry itself: monotonic uint64 totals that
-//    instrumented layers (interp, pnet, sim) bump with relaxed atomics.
+//    instrumented layers (vm, pnet, sim) bump with relaxed atomics.
 //    Handles are looked up once (function-local static) so the hot path is
 //    a single fetch_add.
 //  - Collectors: callbacks registered by subsystems that own their metrics

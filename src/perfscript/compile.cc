@@ -31,6 +31,22 @@ Builtin FindBuiltin(const std::string& name) {
   return Builtin::kNone;
 }
 
+bool InstrWritesA(Op op) {
+  switch (op) {
+    case Op::kCheckNum:
+    case Op::kJmp:
+    case Op::kJmpIfZero:
+    case Op::kJmpIfNotZero:
+    case Op::kJmpGe:
+    case Op::kCmpBranch:
+    case Op::kRet:
+    case Op::kError:
+      return false;
+    default:
+      return true;
+  }
+}
+
 // The value an expression lowers to: a compile-time constant (nothing
 // emitted), or a register — a named local's slot or a temp holding the
 // result. `numeric` means the value is statically known to be a number, so
@@ -57,7 +73,7 @@ struct Operand {
 };
 
 // Collects every name the block can assign (kAssign and kFor targets, in
-// source order). kAugAdd never creates a local, mirroring the interpreter.
+// source order). kAugAdd never creates a local.
 void CollectAssignedNames(const std::vector<StmtPtr>& block, std::vector<std::string>* out) {
   for (const StmtPtr& s : block) {
     switch (s->kind) {
@@ -80,28 +96,40 @@ void CollectAssignedNames(const std::vector<StmtPtr>& block, std::vector<std::st
 
 // Lowers one function. The analysis that makes register slots safe is
 // definite assignment: a variable read compiles to a plain register access
-// only when every path to the read assigns the variable first. A read of a
-// variable that is assigned on only *some* paths (one `if` branch, inside a
-// loop body) would need the interpreter's dynamic local-vs-global
-// resolution, so the whole program falls back to the tree-walker instead —
-// the compiled form must never disagree with it.
+// when every path to the read assigns the variable first. A variable that
+// is assigned on only *some* paths (one `if` branch, a loop body) resolves
+// at runtime the way the language defines it — the local if it has been
+// assigned, else the global constant, else "undefined variable" — so it
+// gets an "assigned" flag register (0 at entry, 1 after each assignment)
+// and its reads become checked loads that branch on the flag. Flags are
+// allocated only for the names that need them: a first lowering pass
+// reports them through missing_flags(), and CompileProgram lowers the
+// function again with those names flagged.
 class FunctionCompiler {
  public:
   FunctionCompiler(const Program& program, const FunctionDef& fn,
                    const std::vector<std::pair<std::string, double>>& constants,
-                   CompiledProgram* out)
-      : program_(program), fn_(fn), constants_(constants), out_(out) {}
+                   const std::set<std::string>& flagged, CompiledProgram* out)
+      : program_(program), fn_(fn), constants_(constants), flagged_(flagged), out_(out) {}
 
-  // On failure, *reason says why the function cannot be lowered.
-  bool Compile(CompiledFunction* cf, std::string* reason);
+  // On failure, *error names the bytecode limit the function exceeds.
+  bool Compile(CompiledFunction* cf, std::string* error);
+
+  // Maybe-assigned names this pass read without a flag register; non-empty
+  // means the result must be discarded and the function lowered again.
+  const std::set<std::string>& missing_flags() const { return missing_flags_; }
 
  private:
   // --- emission -----------------------------------------------------------
   void Emit(Op op, std::uint32_t a, std::uint32_t b, std::uint32_t c, std::size_t imm,
             int line) {
     if (!ok_) return;
-    if (a > 255 || b > 255 || c > 255 || imm > kMaxImm || cf_->code.size() >= kMaxImm) {
-      Fallback("function too large to lower");
+    if (a > 255 || b > 255 || c > 255) {
+      Fail(StrFormat("needs more than %u registers", kMaxRegs));
+      return;
+    }
+    if (imm > kMaxImm || cf_->code.size() >= kMaxImm) {
+      Fail(StrFormat("code exceeds %zu instructions", kMaxImm));
       return;
     }
     Instr ins;
@@ -121,7 +149,7 @@ class FunctionCompiler {
     if (it != const_idx_.end()) return it->second;
     const std::size_t idx = out_->consts.size();
     if (idx > kMaxImm) {
-      Fallback("constant pool overflow");
+      Fail(StrFormat("constant pool exceeds %zu entries", kMaxImm + 1));
       return 0;
     }
     out_->consts.push_back(v);
@@ -134,7 +162,7 @@ class FunctionCompiler {
     if (it != error_idx_.end()) return it->second;
     const std::size_t idx = out_->errors.size();
     if (idx > kMaxImm) {
-      Fallback("error pool overflow");
+      Fail(StrFormat("error message pool exceeds %zu entries", kMaxImm + 1));
       return 0;
     }
     out_->errors.push_back(msg);
@@ -157,7 +185,7 @@ class FunctionCompiler {
   void PatchJump(std::size_t at) {
     if (!ok_) return;
     if (cf_->code.size() > kMaxImm) {
-      Fallback("function too large to lower");
+      Fail(StrFormat("code exceeds %zu instructions", kMaxImm));
       return;
     }
     cf_->code[at].imm = static_cast<std::uint16_t>(cf_->code.size());
@@ -176,30 +204,15 @@ class FunctionCompiler {
     if (!ok_ || reg < num_locals_ || cf_->code.empty()) return false;
     if (max_jump_target_ >= cf_->code.size()) return false;
     Instr& last = cf_->code.back();
-    if (last.a != reg || !WritesA(last.op)) return false;
+    if (last.a != reg || !InstrWritesA(last.op)) return false;
     last.a = static_cast<std::uint8_t>(dst);
     return true;
-  }
-
-  static bool WritesA(Op op) {
-    switch (op) {
-      case Op::kCheckNum:
-      case Op::kJmp:
-      case Op::kJmpIfZero:
-      case Op::kJmpIfNotZero:
-      case Op::kJmpGe:
-      case Op::kRet:
-      case Op::kError:
-        return false;
-      default:
-        return true;
-    }
   }
 
   // Allocates/uses the temp register at watermark `w`.
   std::uint32_t Temp(std::uint32_t w) {
     if (w >= kMaxRegs) {
-      Fallback("register file overflow");
+      Fail(StrFormat("needs more than %u registers", kMaxRegs));
       return 0;
     }
     max_regs_ = std::max<std::uint32_t>(max_regs_, w + 1);
@@ -215,10 +228,10 @@ class FunctionCompiler {
     return Operand::Reg(r, true);
   }
 
-  void Fallback(const std::string& reason) {
+  void Fail(const std::string& error) {
     if (ok_) {
       ok_ = false;
-      reason_ = StrFormat("%s: %s", fn_.name.c_str(), reason.c_str());
+      error_ = StrFormat("%s: %s", fn_.name.c_str(), error.c_str());
     }
   }
 
@@ -249,6 +262,27 @@ class FunctionCompiler {
     return 0;
   }
 
+  // The "assigned" flag register of a maybe-assigned name; on the first
+  // pass (name not yet flagged) records it and returns a placeholder.
+  std::uint32_t FlagReg(const std::string& name) {
+    for (std::uint32_t i = 0; i < flag_names_.size(); ++i) {
+      if (flag_names_[i] == name) return static_cast<std::uint32_t>(local_names_.size()) + i;
+    }
+    missing_flags_.insert(name);
+    return 0;
+  }
+
+  // Marks a flagged local assigned (after a store or a loop-variable bind).
+  void SetFlag(const std::string& name, int line) {
+    if (flagged_.count(name) > 0) {
+      Emit(Op::kLoadConst, FlagReg(name), 0, 0, ConstIdx(1.0), line);
+    }
+  }
+
+  bool MaybeAssigned(const std::string& name) const {
+    return maybe_.count(name) > 0 || IsLoopAssigned(name);
+  }
+
   // --- lowering -----------------------------------------------------------
   Operand LowerExpr(const Expr& e, std::uint32_t w);
   Operand LowerCall(const Expr& e, std::uint32_t w);
@@ -260,10 +294,13 @@ class FunctionCompiler {
   const Program& program_;
   const FunctionDef& fn_;
   const std::vector<std::pair<std::string, double>>& constants_;
+  const std::set<std::string>& flagged_;
   CompiledProgram* out_;
   CompiledFunction* cf_ = nullptr;
 
   std::vector<std::string> local_names_;
+  std::vector<std::string> flag_names_;  // registers follow local_names_
+  std::set<std::string> missing_flags_;
   std::uint32_t num_locals_ = 0;
   DefiniteMap definite_;
   std::set<std::string> maybe_;
@@ -275,10 +312,10 @@ class FunctionCompiler {
   std::uint32_t max_regs_ = 0;
 
   bool ok_ = true;
-  std::string reason_;
+  std::string error_;
 };
 
-bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
+bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* error) {
   cf_ = cf;
   cf_->name = fn_.name;
   cf_->line = fn_.line;
@@ -301,11 +338,15 @@ bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
     }
     if (!seen) local_names_.push_back(name);
   }
-  if (local_names_.size() > kMaxRegs) {
-    *reason = StrFormat("%s: too many locals", fn_.name.c_str());
+  for (const std::string& name : local_names_) {
+    if (flagged_.count(name) > 0) flag_names_.push_back(name);
+  }
+  if (local_names_.size() + flag_names_.size() > kMaxRegs) {
+    *error = StrFormat("%s: %zu locals exceed the limit of %u registers", fn_.name.c_str(),
+                       local_names_.size() + flag_names_.size(), kMaxRegs);
     return false;
   }
-  num_locals_ = static_cast<std::uint32_t>(local_names_.size());
+  num_locals_ = static_cast<std::uint32_t>(local_names_.size() + flag_names_.size());
   max_regs_ = num_locals_;
 
   // Parameters arrive assigned; their runtime kind is unknown (a caller can
@@ -315,9 +356,14 @@ bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
     maybe_.insert(p);
   }
 
+  // Registers keep values from earlier calls, so every flag starts cleared.
+  for (const std::string& name : flag_names_) {
+    Emit(Op::kLoadConst, FlagReg(name), 0, 0, ConstIdx(0.0), fn_.line);
+  }
+
   LowerBlock(fn_.body, num_locals_);
 
-  // Implicit `return 0` when control falls off the end (interp behavior).
+  // Implicit `return 0` when control falls off the end.
   if (ok_) {
     const std::uint32_t r = Temp(num_locals_);
     Emit(Op::kLoadConst, r, 0, 0, ConstIdx(0.0), fn_.line);
@@ -325,7 +371,7 @@ bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
   }
 
   if (!ok_) {
-    *reason = reason_;
+    *error = error_;
     return false;
   }
   cf_->num_regs = max_regs_;
@@ -343,13 +389,26 @@ Operand FunctionCompiler::LowerExpr(const Expr& e, std::uint32_t w) {
       if (it != definite_.end()) {
         return Operand::Reg(LocalReg(e.name), it->second);
       }
-      if (maybe_.count(e.name) > 0 || IsLoopAssigned(e.name)) {
-        // Whether this read sees a local or a global depends on the path
-        // taken at runtime; only the interpreter resolves that dynamically.
-        Fallback(StrFormat("read of maybe-assigned variable '%s'", e.name.c_str()));
-        return Operand::Const(0);
+      const double* c = FindConstant(e.name);
+      if (MaybeAssigned(e.name)) {
+        // Whether this read sees the local depends on the path taken at
+        // runtime: branch on the flag.
+        const std::uint32_t flag = FlagReg(e.name);
+        const std::uint32_t local = LocalReg(e.name);
+        if (c == nullptr) {
+          const std::size_t assigned = EmitJump(Op::kJmpIfNotZero, flag, 0, e.line);
+          EmitError(e.line, StrFormat("undefined variable '%s'", e.name.c_str()));
+          PatchJump(assigned);
+          return Operand::Reg(local, false);
+        }
+        const std::uint32_t dst = Temp(w);
+        Emit(Op::kMove, dst, local, 0, 0, e.line);
+        const std::size_t assigned = EmitJump(Op::kJmpIfNotZero, flag, 0, e.line);
+        Emit(Op::kLoadConst, dst, 0, 0, ConstIdx(*c), e.line);
+        PatchJump(assigned);
+        return Operand::Reg(dst, false);
       }
-      if (const double* c = FindConstant(e.name)) {
+      if (c != nullptr) {
         return Operand::Const(*c);
       }
       // Never assigned, not a global: this is a guaranteed runtime error if
@@ -362,7 +421,7 @@ Operand FunctionCompiler::LowerExpr(const Expr& e, std::uint32_t w) {
       Operand base = Materialize(LowerExpr(*e.children[0], w), w, e.line);
       const std::size_t site = out_->attr_names.size();
       if (site > kMaxImm) {
-        Fallback("attribute site overflow");
+        Fail(StrFormat("attribute read sites exceed %zu", kMaxImm + 1));
         return Operand::Const(0);
       }
       out_->attr_names.push_back(e.name);
@@ -389,8 +448,8 @@ Operand FunctionCompiler::LowerExpr(const Expr& e, std::uint32_t w) {
 
 Operand FunctionCompiler::LowerBinary(const Expr& e, std::uint32_t w) {
   const BinOp op = e.bin_op;
-  // Short-circuit logical operators mirror the interpreter: evaluate and
-  // type-check the lhs, decide, then evaluate/type-check the rhs.
+  // Short-circuit logical operators: evaluate and type-check the lhs,
+  // decide, then evaluate/type-check the rhs.
   if (op == BinOp::kAnd || op == BinOp::kOr) {
     Operand l = LowerExpr(*e.children[0], w);
     if (l.is_const) {
@@ -421,7 +480,7 @@ Operand FunctionCompiler::LowerBinary(const Expr& e, std::uint32_t w) {
   }
 
   Operand l = LowerExpr(*e.children[0], w);
-  // The interpreter converts the lhs to a number *before* evaluating the
+  // The language converts the lhs to a number *before* evaluating the
   // rhs, so a non-numeric lhs must win over any rhs error. Checking the lhs
   // register here (before any rhs code) preserves that order; statically
   // numeric operands skip the check.
@@ -529,7 +588,7 @@ Operand FunctionCompiler::LowerCall(const Expr& e, std::uint32_t w) {
   const std::size_t n = e.children.size();
   const Builtin builtin = FindBuiltin(e.name);
 
-  // The interpreter evaluates every argument before any builtin arity or
+  // The language evaluates every argument before any builtin arity or
   // arity/undefined-function error, so lowering always emits the argument
   // code first. Arguments land in consecutive temps at w, w+1, ...; for
   // error paths they are evaluated for effect (errors) only.
@@ -573,14 +632,14 @@ Operand FunctionCompiler::LowerCall(const Expr& e, std::uint32_t w) {
       if (all_const()) {
         double best = args[0].cval;
         for (std::size_t i = 1; i < n; ++i) {
-          best = builtin == Builtin::kMin ? std::fmin(best, args[i].cval)
-                                          : std::fmax(best, args[i].cval);
+          best = builtin == Builtin::kMin ? MinNum(best, args[i].cval)
+                                          : MaxNum(best, args[i].cval);
         }
         return Operand::Const(best);
       }
       for (std::size_t i = 0; i < n; ++i) place(i);
-      // Type checks in argument order, like the interpreter's NumOrError
-      // sweep, then a fold chain into the accumulator at w.
+      // Type checks in argument order, then a fold chain into the
+      // accumulator at w.
       for (std::size_t i = 0; i < n; ++i) {
         EmitCheckNum(args[i], CheckWhat::kMinMaxArg, e.line);
       }
@@ -636,7 +695,7 @@ Operand FunctionCompiler::LowerCall(const Expr& e, std::uint32_t w) {
 
   // User-defined function: resolve the callee index now; arity mismatches
   // and unknown names become runtime error instructions (they may be dead
-  // code, and the interpreter only reports them when reached).
+  // code, and the language only reports them when reached).
   int fidx = -1;
   for (std::size_t i = 0; i < program_.functions.size(); ++i) {
     if (program_.functions[i].name == e.name) {
@@ -688,26 +747,29 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       const Operand v = LowerExpr(*s.value, w);
       if (!ok_) return;
       StoreTo(v, LocalReg(s.target), s.line);
+      SetFlag(s.target, s.line);
       definite_[s.target] = v.is_const || v.numeric;
       maybe_.insert(s.target);
       return;
     }
     case StmtKind::kAugAdd: {
+      // A '+=' target must be a local: it never falls back to a global.
       const auto it = definite_.find(s.target);
+      const bool target_numeric = it != definite_.end() && it->second;
       if (it == definite_.end()) {
-        if (maybe_.count(s.target) > 0 || IsLoopAssigned(s.target)) {
-          Fallback(StrFormat("'+=' to maybe-assigned variable '%s'", s.target.c_str()));
+        if (!MaybeAssigned(s.target)) {
+          // Guaranteed runtime error when reached.
+          EmitError(s.line, StrFormat("undefined variable '%s'", s.target.c_str()));
           return;
         }
-        // Guaranteed runtime error when reached; note the interpreter never
-        // falls back to globals for a '+=' target.
+        const std::size_t assigned = EmitJump(Op::kJmpIfNotZero, FlagReg(s.target), 0, s.line);
         EmitError(s.line, StrFormat("undefined variable '%s'", s.target.c_str()));
-        return;
+        PatchJump(assigned);
       }
       const std::uint32_t t = LocalReg(s.target);
-      // Interpreter order: check the target's type, evaluate the value,
-      // check the value's type, add.
-      EmitCheckNum(Operand::Reg(t, it->second), CheckWhat::kAugTarget, s.line);
+      // Order: check the target's type, evaluate the value, check the
+      // value's type, add.
+      EmitCheckNum(Operand::Reg(t, target_numeric), CheckWhat::kAugTarget, s.line);
       const Operand v = LowerExpr(*s.value, w);
       if (!ok_) return;
       EmitCheckNum(v, CheckWhat::kAugValue, s.line);
@@ -735,7 +797,7 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       if (c.is_const) {
         // A constant condition takes the same branch on every execution, so
         // only the taken branch is compiled; the other branch's assignments
-        // never happen, exactly as in the interpreter.
+        // never happen.
         LowerBlock(c.cval != 0 ? s.body : s.else_body, w);
         return;
       }
@@ -808,6 +870,7 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       const std::size_t head = cf_->code.size();
       const std::size_t to_exit = EmitJump(Op::kJmpGe, ri, rn, s.line);
       Emit(Op::kIterChild, LocalReg(s.target), iter.reg, ri, 0, s.line);
+      SetFlag(s.target, s.line);
       LowerBlock(s.body, wl + 2);
       Emit(Op::kAddC, ri, ri, 0, ConstIdx(1.0), s.line);
       EmitJumpTo(Op::kJmp, 0, 0, head, s.line);
@@ -844,22 +907,6 @@ void NoteSuperinstructions(std::size_t n) {
 bool IsJumpOp(Op op) {
   return op == Op::kJmp || op == Op::kJmpIfZero || op == Op::kJmpIfNotZero ||
          op == Op::kJmpGe || op == Op::kCmpBranch;
-}
-
-bool InstrWritesA(Op op) {
-  switch (op) {
-    case Op::kCheckNum:
-    case Op::kJmp:
-    case Op::kJmpIfZero:
-    case Op::kJmpIfNotZero:
-    case Op::kJmpGe:
-    case Op::kCmpBranch:
-    case Op::kRet:
-    case Op::kError:
-      return false;
-    default:
-      return true;
-  }
 }
 
 // Whether `ins` reads register `r`. Used by the fusion pass to prove the
@@ -1020,7 +1067,8 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
           f.c = x.c;
           fused = true;
           // min/max against a just-loaded constant. Only the const-second
-          // form fuses: fmin's operand order is observable for signed zeros.
+          // form fuses: with two NaN operands, which payload survives
+          // depends on the operand order.
         } else if (x.op == Op::kLoadConst && (y.op == Op::kMin2 || y.op == Op::kMax2) &&
                    y.c == x.a && y.b != x.a && temp_dead_elsewhere(x.a, i, i + 1)) {
           f.op = y.op == Op::kMin2 ? Op::kMinC : Op::kMaxC;
@@ -1108,9 +1156,27 @@ CompileProgramResult CompileProgram(
   auto out = std::make_shared<CompiledProgram>();
   out->functions.resize(program.functions.size());
   for (std::size_t i = 0; i < program.functions.size(); ++i) {
-    FunctionCompiler fc(program, program.functions[i], constants, out.get());
-    if (!fc.Compile(&out->functions[i], &result.reason)) {
-      return result;
+    // At most two passes: the first finds the maybe-assigned names that
+    // need flag registers, the second lowers with them. The pools are
+    // rolled back so a discarded pass leaves no entries behind.
+    std::set<std::string> flagged;
+    const std::size_t num_consts = out->consts.size();
+    const std::size_t num_attrs = out->attr_names.size();
+    const std::size_t num_errors = out->errors.size();
+    for (;;) {
+      CompiledFunction fn;
+      FunctionCompiler fc(program, program.functions[i], constants, flagged, out.get());
+      if (!fc.Compile(&fn, &result.error)) {
+        return result;
+      }
+      if (fc.missing_flags().empty()) {
+        out->functions[i] = std::move(fn);
+        break;
+      }
+      flagged.insert(fc.missing_flags().begin(), fc.missing_flags().end());
+      out->consts.resize(num_consts);
+      out->attr_names.resize(num_attrs);
+      out->errors.resize(num_errors);
     }
   }
   // The shared peephole runs after every function lowers: the superinstruction
@@ -1194,25 +1260,27 @@ const char* CmpName(std::uint8_t kind) {
   return "?";
 }
 
-}  // namespace
-
-std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) const {
-  std::string out = StrFormat("function %s(%zu params, %zu regs):\n", fn.name.c_str(),
-                              fn.num_params, fn.num_regs);
-  for (std::size_t i = 0; i < fn.code.size(); ++i) {
-    const Instr& ins = fn.code[i];
+// One listing format for both compiled forms: programs pass themselves for
+// the attribute, error and callee names that only program code refers to.
+std::string DisassembleCode(const std::vector<Instr>& code, const std::vector<double>& consts,
+                            const CompiledProgram* program) {
+  std::string out;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const Instr& ins = code[i];
     out += StrFormat("  %4zu: %-9s", i, OpName(ins.op));
     switch (ins.op) {
       case Op::kLoadConst:
+        out += StrFormat("r%u, %g", ins.a, consts[ins.imm]);
+        break;
       case Op::kAddC:
       case Op::kSubC:
       case Op::kMulC:
       case Op::kDivC:
       case Op::kRSubC:
       case Op::kRDivC:
-        out += StrFormat("r%u", ins.a);
-        if (ins.op != Op::kLoadConst) out += StrFormat(", r%u", ins.b);
-        out += StrFormat(", %g", consts[ins.imm]);
+      case Op::kMinC:
+      case Op::kMaxC:
+        out += StrFormat("r%u, r%u, %g", ins.a, ins.b, consts[ins.imm]);
         break;
       case Op::kMove:
       case Op::kNeg:
@@ -1226,28 +1294,12 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
       case Op::kIterLen:
         out += StrFormat("r%u, r%u", ins.a, ins.b);
         break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kMin2:
-      case Op::kMax2:
-      case Op::kIterChild:
-        out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
-        break;
       case Op::kCheckNum:
         out += StrFormat("r%u (%s)", ins.a, CheckWhatName(static_cast<CheckWhat>(ins.imm)));
         break;
       case Op::kAttr:
-        out += StrFormat("r%u, r%u.%s [ic %u]", ins.a, ins.b, attr_names[ins.imm].c_str(),
-                         ins.imm);
+        out += StrFormat("r%u, r%u.%s [ic %u]", ins.a, ins.b,
+                         program->attr_names[ins.imm].c_str(), ins.imm);
         break;
       case Op::kJmp:
         out += StrFormat("-> %u", ins.imm);
@@ -1260,14 +1312,14 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
         out += StrFormat("r%u, r%u -> %u", ins.a, ins.b, ins.imm);
         break;
       case Op::kCall:
-        out += StrFormat("r%u = %s(r%u..r%u)", ins.a, functions[ins.imm].name.c_str(), ins.b,
-                         ins.b + (ins.c == 0 ? 0 : ins.c - 1));
+        out += StrFormat("r%u = %s(r%u..r%u)", ins.a, program->functions[ins.imm].name.c_str(),
+                         ins.b, ins.b + (ins.c == 0 ? 0 : ins.c - 1));
         break;
       case Op::kRet:
         out += StrFormat("r%u", ins.a);
         break;
       case Op::kError:
-        out += StrFormat("\"%s\"", errors[ins.imm].c_str());
+        out += StrFormat("\"%s\"", program->errors[ins.imm].c_str());
         break;
       case Op::kMulAddCC:
         out += StrFormat("r%u, r%u * %g + %g", ins.a, ins.b, consts[ins.imm], consts[ins.c]);
@@ -1278,10 +1330,6 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
       case Op::kFma:
         out += StrFormat("r%u += r%u * r%u", ins.a, ins.b, ins.c);
         break;
-      case Op::kMinC:
-      case Op::kMaxC:
-        out += StrFormat("r%u, r%u, %g", ins.a, ins.b, consts[ins.imm]);
-        break;
       case Op::kClampCC:
         out += StrFormat("r%u, r%u in [%g, %g]", ins.a, ins.b, consts[ins.c], consts[ins.imm]);
         break;
@@ -1289,14 +1337,21 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
         out += StrFormat("r%u %s r%u %s-> %u", ins.a, CmpName(ins.c), ins.b,
                          (ins.c & kCmpBranchIfTrue) ? "" : "!", ins.imm);
         break;
-      case Op::kAnd2:
-      case Op::kOr2:
+      default:  // three-register arithmetic, comparisons, min2/max2, and2/or2
         out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
         break;
     }
     out += StrFormat("   ; line %u\n", ins.line);
   }
   return out;
+}
+
+}  // namespace
+
+std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) const {
+  return StrFormat("function %s(%zu params, %zu regs):\n", fn.name.c_str(), fn.num_params,
+                   fn.num_regs) +
+         DisassembleCode(fn.code, consts, this);
 }
 
 std::string CompiledProgram::Disassemble() const {
@@ -1318,8 +1373,9 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
   if (!compiled->Emit(expr, binder, options, error)) {
     return nullptr;
   }
-  // Postfix depth is bounded at compile time so Run() can use a fixed-size
-  // stack with no per-op bounds branches beyond the existing checks.
+  // Postfix depth is bounded at compile time: the lowering keeps one temp
+  // register per live stack entry, and kMaxStack of them above kMaxSlots
+  // attribute slots still fit Run()'s 256 registers.
   int depth = 0;
   int max_depth = 0;
   for (const ExprInstr& op : compiled->ops_) {
@@ -1348,7 +1404,9 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
   // ops_ is final (Canonical() serializes it); the register form and the
   // shape summary are derived views on top.
   compiled->Summarize();
-  compiled->LowerToRegs();
+  if (!compiled->LowerToRegs(error)) {
+    return nullptr;
+  }
   return compiled;
 }
 
@@ -1463,15 +1521,54 @@ bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
   return false;
 }
 
+double CompiledExpr::FoldUnary(ExprOp op, double x) {
+  switch (op) {
+    case ExprOp::kNeg: return -x;
+    case ExprOp::kNot: return x == 0 ? 1 : 0;
+    case ExprOp::kCeil: return std::ceil(x);
+    case ExprOp::kFloor: return std::floor(x);
+    case ExprOp::kAbs: return std::fabs(x);
+    default: return std::sqrt(x);
+  }
+}
+
+bool CompiledExpr::FoldBinary(ExprOp op, double x, double y, double* r) {
+  switch (op) {
+    case ExprOp::kAdd: *r = x + y; return true;
+    case ExprOp::kSub: *r = x - y; return true;
+    case ExprOp::kMul: *r = x * y; return true;
+    case ExprOp::kDiv:
+      if (y == 0) return false;
+      *r = x / y;
+      return true;
+    case ExprOp::kMod:
+      if (y == 0) return false;
+      *r = std::fmod(x, y);
+      return true;
+    case ExprOp::kLt: *r = x < y ? 1 : 0; return true;
+    case ExprOp::kLe: *r = x <= y ? 1 : 0; return true;
+    case ExprOp::kGt: *r = x > y ? 1 : 0; return true;
+    case ExprOp::kGe: *r = x >= y ? 1 : 0; return true;
+    case ExprOp::kEq: *r = x == y ? 1 : 0; return true;
+    case ExprOp::kNe: *r = x != y ? 1 : 0; return true;
+    case ExprOp::kAnd: *r = (x != 0 && y != 0) ? 1 : 0; return true;
+    case ExprOp::kOr: *r = (x != 0 || y != 0) ? 1 : 0; return true;
+    case ExprOp::kMin: *r = MinNum(x, y); return true;
+    case ExprOp::kMax: *r = MaxNum(x, y); return true;
+    default: return false;
+  }
+}
+
 // Lowers the postfix stack ops onto the shared register instruction set.
 // Strictly order-preserving: no reassociation, constants fold with the same
-// std:: calls the stack evaluator uses, commuted constant forms (kAddC/kMulC
+// std:: calls evaluation uses, commuted constant forms (kAddC/kMulC
 // with a constant lhs) are taken only for non-NaN constants (NaN payload
 // propagation is the one way IEEE add/mul observe operand order), and a
 // constant zero divisor is left as a generic kDiv/kMod so the runtime
-// abort/error fires exactly as before. Any shape that cannot be lowered
-// under those rules clears rcode_ and the callers stay on the stack path.
-void CompiledExpr::LowerToRegs() {
+// abort/error fires exactly as the postfix reading says. An expression that
+// does not fit the 8-bit register operands or the 16-bit pools is a
+// compile error naming the limit.
+bool CompiledExpr::LowerToRegs(std::string* error) {
   rcode_.clear();
   rconsts_.clear();
   used_slots_.clear();
@@ -1490,7 +1587,13 @@ void CompiledExpr::LowerToRegs() {
   used_slots_.erase(std::unique(used_slots_.begin(), used_slots_.end()), used_slots_.end());
   // Temps need headroom below the 8-bit operand fields (64 stack slots + 2
   // materialization scratch regs).
-  bool ok = slot_limit <= 180;
+  if (slot_limit > kMaxSlots) {
+    *error = StrFormat("expression reads attribute slot %u; net expressions address at most "
+                       "%u attribute slots",
+                       slot_limit - 1, kMaxSlots);
+    return false;
+  }
+  bool ok = true;
 
   struct VOp {
     bool is_const = false;
@@ -1514,7 +1617,13 @@ void CompiledExpr::LowerToRegs() {
   };
   auto emit = [&](Op op, std::uint32_t a, std::uint32_t b, std::uint32_t c,
                   std::size_t imm, std::uint16_t line) {
-    if (a > 255 || b > 255 || c > 255 || imm > kMaxImm || rcode_.size() >= kMaxImm) {
+    if (a > 255 || b > 255 || c > 255) {
+      *error = "expression needs more than 256 registers";
+      ok = false;
+      return;
+    }
+    if (imm > kMaxImm || rcode_.size() >= kMaxImm) {
+      *error = StrFormat("expression exceeds %zu instructions or constants", kMaxImm);
       ok = false;
       return;
     }
@@ -1556,16 +1665,7 @@ void CompiledExpr::LowerToRegs() {
         VOp v = stk.back();
         stk.pop_back();
         if (v.is_const) {
-          double r = 0;
-          switch (op.op) {
-            case ExprOp::kNeg: r = -v.cval; break;
-            case ExprOp::kNot: r = v.cval == 0 ? 1 : 0; break;
-            case ExprOp::kCeil: r = std::ceil(v.cval); break;
-            case ExprOp::kFloor: r = std::floor(v.cval); break;
-            case ExprOp::kAbs: r = std::fabs(v.cval); break;
-            default: r = std::sqrt(v.cval); break;
-          }
-          stk.push_back(VOp{true, r, 0});
+          stk.push_back(VOp{true, FoldUnary(op.op, v.cval), 0});
           break;
         }
         const std::uint32_t dst = temp_base();
@@ -1591,39 +1691,10 @@ void CompiledExpr::LowerToRegs() {
 
         // Both constant: fold, except a zero divisor (must stay a runtime
         // abort/error at this op's line).
-        if (a.is_const && b.is_const) {
-          const double x = a.cval;
-          const double y = b.cval;
-          bool folded = true;
-          double r = 0;
-          switch (op.op) {
-            case ExprOp::kAdd: r = x + y; break;
-            case ExprOp::kSub: r = x - y; break;
-            case ExprOp::kMul: r = x * y; break;
-            case ExprOp::kDiv:
-              if (y == 0) folded = false;
-              else r = x / y;
-              break;
-            case ExprOp::kMod:
-              if (y == 0) folded = false;
-              else r = std::fmod(x, y);
-              break;
-            case ExprOp::kLt: r = x < y ? 1 : 0; break;
-            case ExprOp::kLe: r = x <= y ? 1 : 0; break;
-            case ExprOp::kGt: r = x > y ? 1 : 0; break;
-            case ExprOp::kGe: r = x >= y ? 1 : 0; break;
-            case ExprOp::kEq: r = x == y ? 1 : 0; break;
-            case ExprOp::kNe: r = x != y ? 1 : 0; break;
-            case ExprOp::kAnd: r = (x != 0 && y != 0) ? 1 : 0; break;
-            case ExprOp::kOr: r = (x != 0 || y != 0) ? 1 : 0; break;
-            case ExprOp::kMin: r = std::fmin(x, y); break;
-            case ExprOp::kMax: r = std::fmax(x, y); break;
-            default: ok = false; break;
-          }
-          if (folded) {
-            stk.push_back(VOp{true, r, 0});
-            break;
-          }
+        double folded = 0;
+        if (a.is_const && b.is_const && FoldBinary(op.op, a.cval, b.cval, &folded)) {
+          stk.push_back(VOp{true, folded, 0});
+          break;
         }
 
         // Logical ops against a constant decide from the other side alone
@@ -1773,13 +1844,16 @@ void CompiledExpr::LowerToRegs() {
   }
 
   if (!ok) {
+    if (error->empty()) {
+      *error = "expression cannot be lowered to register code";
+    }
     rcode_.clear();
     rconsts_.clear();
-    num_regs_ = 0;
-    return;
+    return false;
   }
   num_regs_ = max_reg;
   NoteSuperinstructions(FuseSuperinstructions(&rcode_, rconsts_, slot_limit));
+  return true;
 }
 
 // Compile-time shape classification over ops_. The affine tracker never
@@ -1825,14 +1899,7 @@ void CompiledExpr::Summarize() {
         Lin v = std::move(stk.back());
         stk.pop_back();
         if (v.kind == 0) {
-          switch (op.op) {
-            case ExprOp::kNeg: push_const(-v.c0); break;
-            case ExprOp::kNot: push_const(v.c0 == 0 ? 1 : 0); break;
-            case ExprOp::kCeil: push_const(std::ceil(v.c0)); break;
-            case ExprOp::kFloor: push_const(std::floor(v.c0)); break;
-            case ExprOp::kAbs: push_const(std::fabs(v.c0)); break;
-            default: push_const(std::sqrt(v.c0)); break;
-          }
+          push_const(FoldUnary(op.op, v.c0));
         } else if (op.op == ExprOp::kNeg && v.kind == 1) {
           v.c0 = -v.c0;
           for (auto& kv : v.co) kv.second = -kv.second;
@@ -1848,36 +1915,12 @@ void CompiledExpr::Summarize() {
         Lin a = std::move(stk.back());
         stk.pop_back();
         if (a.kind == 0 && b.kind == 0) {
-          const double x = a.c0;
-          const double y = b.c0;
-          bool folded = true;
           double r = 0;
-          switch (op.op) {
-            case ExprOp::kAdd: r = x + y; break;
-            case ExprOp::kSub: r = x - y; break;
-            case ExprOp::kMul: r = x * y; break;
-            case ExprOp::kDiv:
-              if (y == 0) folded = false;
-              else r = x / y;
-              break;
-            case ExprOp::kMod:
-              if (y == 0) folded = false;
-              else r = std::fmod(x, y);
-              break;
-            case ExprOp::kLt: r = x < y ? 1 : 0; break;
-            case ExprOp::kLe: r = x <= y ? 1 : 0; break;
-            case ExprOp::kGt: r = x > y ? 1 : 0; break;
-            case ExprOp::kGe: r = x >= y ? 1 : 0; break;
-            case ExprOp::kEq: r = x == y ? 1 : 0; break;
-            case ExprOp::kNe: r = x != y ? 1 : 0; break;
-            case ExprOp::kAnd: r = (x != 0 && y != 0) ? 1 : 0; break;
-            case ExprOp::kOr: r = (x != 0 || y != 0) ? 1 : 0; break;
-            case ExprOp::kMin: r = std::fmin(x, y); break;
-            case ExprOp::kMax: r = std::fmax(x, y); break;
-            default: folded = false; break;
+          if (FoldBinary(op.op, a.c0, b.c0, &r)) {
+            push_const(r);
+          } else {
+            push_general();
           }
-          if (folded) push_const(r);
-          else push_general();
           break;
         }
         const bool both_lin = a.kind <= 1 && b.kind <= 1;
@@ -1931,68 +1974,11 @@ void CompiledExpr::Summarize() {
 }
 
 std::string CompiledExpr::DisassembleRegs() const {
-  if (!has_reg_code()) {
-    return "expr: no register form (stack evaluator)\n";
-  }
   std::string out = StrFormat("expr: %u regs, slots [", num_regs_);
   for (std::size_t i = 0; i < used_slots_.size(); ++i) {
     out += StrFormat(i == 0 ? "%u" : " %u", used_slots_[i]);
   }
-  out += "]\n";
-  for (std::size_t i = 0; i < rcode_.size(); ++i) {
-    const Instr& ins = rcode_[i];
-    out += StrFormat("  %4zu: %-9s", i, OpName(ins.op));
-    switch (ins.op) {
-      case Op::kLoadConst:
-        out += StrFormat("r%u, %g", ins.a, rconsts_[ins.imm]);
-        break;
-      case Op::kAddC:
-      case Op::kSubC:
-      case Op::kMulC:
-      case Op::kDivC:
-      case Op::kRSubC:
-      case Op::kRDivC:
-      case Op::kMinC:
-      case Op::kMaxC:
-        out += StrFormat("r%u, r%u, %g", ins.a, ins.b, rconsts_[ins.imm]);
-        break;
-      case Op::kMulAddCC:
-        out += StrFormat("r%u, r%u * %g + %g", ins.a, ins.b, rconsts_[ins.imm],
-                         rconsts_[ins.c]);
-        break;
-      case Op::kMulAddC:
-        out += StrFormat("r%u, r%u * %g + r%u", ins.a, ins.b, rconsts_[ins.imm], ins.c);
-        break;
-      case Op::kFma:
-        out += StrFormat("r%u += r%u * r%u", ins.a, ins.b, ins.c);
-        break;
-      case Op::kClampCC:
-        out += StrFormat("r%u, r%u in [%g, %g]", ins.a, ins.b, rconsts_[ins.c],
-                         rconsts_[ins.imm]);
-        break;
-      case Op::kCmpBranch:
-        out += StrFormat("r%u %s r%u %s-> %u", ins.a, CmpName(ins.c), ins.b,
-                         (ins.c & kCmpBranchIfTrue) ? "" : "!", ins.imm);
-        break;
-      case Op::kNeg:
-      case Op::kNot:
-      case Op::kBool:
-      case Op::kCeil:
-      case Op::kFloor:
-      case Op::kAbs:
-      case Op::kSqrt:
-        out += StrFormat("r%u, r%u", ins.a, ins.b);
-        break;
-      case Op::kRet:
-        out += StrFormat("r%u", ins.a);
-        break;
-      default:
-        out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
-        break;
-    }
-    out += StrFormat("   ; line %u\n", ins.line);
-  }
-  return out;
+  return out + "]\n" + DisassembleCode(rcode_, rconsts_, nullptr);
 }
 
 }  // namespace perfiface

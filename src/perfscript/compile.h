@@ -1,22 +1,20 @@
 // Bytecode compiler for PerfScript (docs/serving.md "Program compilation").
 //
-// Two compiled forms live here:
+// Two compiled forms live here, both on one register instruction set:
 //
 //  - CompiledProgram: a whole interface program lowered to register bytecode
 //    for the Vm (vm.h). Lowering happens once, at registry load: variable
 //    names resolve to register slots, calibration constants fold into the
 //    instruction stream, builtin and function call targets resolve to
 //    opcodes/indices, attribute reads get inline-cache sites, and `for`
-//    loops get their iteration setup precomputed. Anything the compiler
-//    cannot prove equivalent to the tree-walking interpreter (interp.h)
-//    refuses to lower — the caller falls back to the interpreter, which
-//    stays the reference semantics.
+//    loops get their iteration setup precomputed. Lowering is total: every
+//    program that parses compiles, unless it exceeds one of the bytecode's
+//    size limits (registers, pools, code length), which is a load error.
 //
 //  - CompiledExpr: a standalone expression (Petri-net delay/guard
-//    annotations, EvalExprWithVars callers) bound once against a
-//    caller-supplied name resolver and evaluated many times by a tiny stack
-//    machine with no per-call lookups, parses, or allocations. This is the
-//    cached "bound form" the .pnet loader stores per transition.
+//    annotations) bound once against a caller-supplied name resolver and
+//    evaluated many times with no per-call lookups, parses, or allocations.
+//    This is the cached "bound form" the .pnet loader stores per transition.
 //
 // Thread-safety: a CompiledProgram/CompiledExpr is immutable after
 // compilation; any number of threads may execute it concurrently (each Vm
@@ -37,8 +35,6 @@
 
 namespace perfiface {
 
-struct EvalResult;  // interp.h
-
 // ---------------------------------------------------------------------------
 // Register bytecode (CompiledProgram + Vm)
 // ---------------------------------------------------------------------------
@@ -57,7 +53,7 @@ enum class Op : std::uint8_t {
   kNot,   // r[a] = r[b] == 0 ? 1 : 0
   kBool,  // r[a] = r[b] != 0 ? 1 : 0
   kCeil, kFloor, kAbs, kSqrt,  // r[a] = f(r[b])
-  kMin2, kMax2,                // r[a] = fmin/fmax(r[b], r[c])
+  kMin2, kMax2,                // r[a] = MinNum/MaxNum(r[b], r[c])
   kLen,                        // r[a] = NumChildren(r[b])
   kCheckNum,   // error "<whats[imm]> must be a number" unless r[a] numeric
   kAttr,       // r[a] = r[b].<attr_names[imm]>; imm doubles as the IC slot
@@ -78,9 +74,9 @@ enum class Op : std::uint8_t {
   kMulAddCC,   // r[a] = r[b] * consts[imm] + consts[c]  (c indexes consts)
   kMulAddC,    // r[a] = r[b] * consts[imm] + r[c]; r[c] checked at runtime
   kFma,        // r[a] = r[a] + r[b] * r[c]; all three checked at runtime
-  kMinC,       // r[a] = fmin(r[b], consts[imm])
-  kMaxC,       // r[a] = fmax(r[b], consts[imm])
-  kClampCC,    // r[a] = fmax(fmin(r[b], consts[imm]), consts[c])
+  kMinC,       // r[a] = MinNum(r[b], consts[imm])
+  kMaxC,       // r[a] = MaxNum(r[b], consts[imm])
+  kClampCC,    // r[a] = MaxNum(MinNum(r[b], consts[imm]), consts[c])
   kCmpBranch,  // if cmp<c&7>(r[a], r[b]) == bool(c&8): pc = imm; both checked
   kAnd2,       // r[a] = (r[b] != 0 && r[c] != 0) ? 1 : 0
   kOr2,        // r[a] = (r[b] != 0 || r[c] != 0) ? 1 : 0
@@ -109,8 +105,7 @@ inline double RoundBarrier(double x) {
   return x;
 }
 
-// Operand kinds for kCheckNum's error message ("<what> must be a number"),
-// chosen to reproduce the interpreter's messages exactly.
+// Operand kinds for kCheckNum's error message ("<what> must be a number").
 enum class CheckWhat : std::uint16_t {
   kOperand, kCondition, kAugTarget, kAugValue,
   kMinMaxArg, kCeilArg, kFloorArg, kAbsArg, kSqrtArg,
@@ -128,7 +123,7 @@ struct Instr {
 
 struct CompiledFunction {
   std::string name;
-  int line = 0;  // definition line (arity errors point here, like interp)
+  int line = 0;  // definition line (arity errors point here)
   std::size_t num_params = 0;
   std::size_t num_regs = 0;    // frame size: params + locals + temps
   std::size_t num_locals = 0;  // params + named locals; temps live above
@@ -151,18 +146,18 @@ struct CompiledProgram {
 };
 
 struct CompileProgramResult {
-  // Null when the program (or one of its functions) uses a construct the
-  // compiler cannot lower with interpreter-identical semantics; `reason`
-  // then says which. The caller keeps evaluating through the interpreter.
+  // Null when a function exceeds a bytecode size limit; `error` then names
+  // the function and the limit ("f: needs more than 250 registers").
   std::shared_ptr<const CompiledProgram> program;
-  std::string reason;
+  std::string error;
 
   bool ok() const { return program != nullptr; }
 };
 
 // Lowers a parsed program with the given calibration constants folded in as
-// immediates (the same values Interpreter::SetGlobal would install). The
-// AST is only read during compilation and need not outlive the result.
+// immediates: a read of a name that is not a local resolves to the constant
+// of that name. The AST is only read during compilation and need not
+// outlive the result.
 CompileProgramResult CompileProgram(
     const Program& program,
     const std::vector<std::pair<std::string, double>>& constants);
@@ -185,8 +180,8 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code,
 // ---------------------------------------------------------------------------
 
 // How a free variable in a standalone expression resolves: either to a
-// value fixed at compile time (net constants, EvalExprWithVars lookups) or
-// to a numeric slot read at every evaluation (token attribute index).
+// value fixed at compile time (net constants) or to a numeric slot read at
+// every evaluation (token attribute index).
 struct ExprBinding {
   enum class Kind { kConst, kSlot };
   Kind kind = Kind::kConst;
@@ -212,8 +207,15 @@ struct ExprCompileOptions {
 
 class CompiledExpr {
  public:
+  // Attribute slots a net expression may read: registers [0, kMaxSlots)
+  // mirror the slots, and the temporaries of the deepest allowed
+  // expression live above them within the 8-bit register operands.
+  static constexpr std::uint32_t kMaxSlots = 180;
+
   // Compiles a parsed expression; returns nullptr and sets *error on
-  // unresolvable names, attribute access, or unknown functions.
+  // unresolvable names, attribute access, unknown functions, or an
+  // expression past the size limits ("expression too deep", a slot at or
+  // above kMaxSlots).
   static std::unique_ptr<CompiledExpr> Compile(const Expr& expr, const ExprBinder& binder,
                                                std::string* error,
                                                const ExprCompileOptions& options = {});
@@ -229,32 +231,25 @@ class CompiledExpr {
   template <typename SlotFn>
   double Eval(SlotFn&& slot) const;
 
-  // Same, but reports division/modulo by zero as an error result instead of
-  // aborting (the EvalExprWithVars contract).
+  // Same, but reports division/modulo by zero as an error result
+  // ("line N: division by zero") instead of aborting.
   template <typename SlotFn>
   EvalResult EvalChecked(SlotFn&& slot) const;
 
-  // Canonical serialization of the compiled ops, recorded by the .pnet
-  // loader as TransitionSpec::delay_expr/guard_expr: constants are inlined
-  // and attributes slot-resolved, so this pins down behavior exactly, which
-  // is what CompiledNet's structural hash keys on. The format (and the
-  // opcode numbering it exposes) must stay stable across refactors or
-  // every cross-request memo key changes.
+  // Canonical serialization of the expression's postfix ops, recorded by
+  // the .pnet loader as TransitionSpec::delay_expr/guard_expr: constants
+  // are inlined and attributes slot-resolved, so this pins down behavior
+  // exactly, which is what CompiledNet's structural hash keys on. The
+  // format (and the opcode numbering it exposes) must stay stable across
+  // refactors or every cross-request memo key changes.
   std::string Canonical() const;
 
   std::size_t num_ops() const { return ops_.size(); }
 
-  // ------------------------------------------------------------------
-  // Register-bytecode form (the unified IR). Compile() additionally
-  // lowers the stack ops onto the same Instr set the Vm executes, with
-  // constant folding, constant-operand forms, and the shared
-  // superinstruction peephole. Registers [0, max_slot] mirror token
-  // attribute slots; temps live above. Callers that find has_reg_code()
-  // false (an expression the lowering could not prove bit-equivalent,
-  // e.g. register pressure beyond the 8-bit operand fields) fall back to
-  // the stack evaluator, which stays the reference semantics.
-  // ------------------------------------------------------------------
-  bool has_reg_code() const { return !rcode_.empty(); }
+  // The register bytecode Eval runs: the ops lowered onto the Instr set
+  // the Vm executes, with constant folding, constant-operand forms, and the
+  // shared superinstruction peephole. Registers [0, max_slot] mirror token
+  // attribute slots; temps live above.
   const std::vector<Instr>& reg_code() const { return rcode_; }
   const std::vector<double>& reg_consts() const { return rconsts_; }
   std::uint32_t num_regs() const { return num_regs_; }
@@ -262,13 +257,6 @@ class CompiledExpr {
   const std::vector<std::uint32_t>& used_slots() const { return used_slots_; }
   // Human-readable listing (pnet_tool --dump-expr-bytecode).
   std::string DisassembleRegs() const;
-
-  // Same contracts as Eval/EvalChecked, executed on the register form.
-  // Requires has_reg_code().
-  template <typename SlotFn>
-  double EvalRegs(SlotFn&& slot) const;
-  template <typename SlotFn>
-  EvalResult EvalRegsChecked(SlotFn&& slot) const;
 
   // Compile-time shape classification, for the sim fast path and the
   // interface distiller. kConstant is claimed only for expressions with
@@ -301,15 +289,18 @@ class CompiledExpr {
 
   template <typename SlotFn>
   double Run(SlotFn&& slot, bool* failed, std::string* error) const;
-  template <typename SlotFn>
-  double RunRegs(SlotFn&& slot, bool* failed, std::string* error) const;
+
+  // Compile-time folding, shared by the lowering and the summary. A zero
+  // divisor does not fold: it must stay a runtime abort/error.
+  static double FoldUnary(ExprOp op, double x);
+  static bool FoldBinary(ExprOp op, double x, double y, double* r);
 
   bool Emit(const Expr& e, const ExprBinder& binder, const ExprCompileOptions& options,
             std::string* error);
-  // Builds rcode_/rconsts_ from ops_; clears rcode_ (fallback to the stack
-  // path) on any shape it cannot lower bit-identically.
-  void LowerToRegs();
-  // Fills summary_ from ops_ (runs regardless of lowering success).
+  // Builds rcode_/rconsts_ from ops_; false (with *error naming the limit)
+  // if the expression does not fit the register operands.
+  bool LowerToRegs(std::string* error);
+  // Fills summary_ from ops_.
   void Summarize();
 
   std::vector<ExprInstr> ops_;

@@ -7,85 +7,18 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/perfscript/interp.h"
 
 namespace perfiface {
 
-template <typename SlotFn>
-double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const {
-  double stack[kMaxStack];
-  int sp = 0;
-  for (const ExprInstr& op : ops_) {
-    switch (op.op) {
-      case ExprOp::kConst: stack[sp++] = op.value; break;
-      case ExprOp::kSlot: stack[sp++] = slot(op.slot); break;
-      case ExprOp::kNeg: stack[sp - 1] = -stack[sp - 1]; break;
-      case ExprOp::kNot: stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0; break;
-      case ExprOp::kCeil: stack[sp - 1] = std::ceil(stack[sp - 1]); break;
-      case ExprOp::kFloor: stack[sp - 1] = std::floor(stack[sp - 1]); break;
-      case ExprOp::kAbs: stack[sp - 1] = std::fabs(stack[sp - 1]); break;
-      case ExprOp::kSqrt: stack[sp - 1] = std::sqrt(stack[sp - 1]); break;
-      default: {
-        const double b = stack[--sp];
-        const double a = stack[sp - 1];
-        double r = 0;
-        switch (op.op) {
-          case ExprOp::kAdd: r = a + b; break;
-          case ExprOp::kSub: r = a - b; break;
-          case ExprOp::kMul: r = a * b; break;
-          case ExprOp::kDiv:
-            if (b == 0) {
-              if (failed == nullptr) {
-                PI_CHECK_MSG(false, "division by zero in net expression");
-              }
-              *failed = true;
-              *error = StrFormat("line %d: division by zero", op.line);
-              return 0;
-            }
-            r = a / b;
-            break;
-          case ExprOp::kMod:
-            if (b == 0) {
-              if (failed == nullptr) {
-                PI_CHECK_MSG(false, "modulo by zero in net expression");
-              }
-              *failed = true;
-              *error = StrFormat("line %d: modulo by zero", op.line);
-              return 0;
-            }
-            r = std::fmod(a, b);
-            break;
-          case ExprOp::kLt: r = a < b ? 1 : 0; break;
-          case ExprOp::kLe: r = a <= b ? 1 : 0; break;
-          case ExprOp::kGt: r = a > b ? 1 : 0; break;
-          case ExprOp::kGe: r = a >= b ? 1 : 0; break;
-          case ExprOp::kEq: r = a == b ? 1 : 0; break;
-          case ExprOp::kNe: r = a != b ? 1 : 0; break;
-          case ExprOp::kAnd: r = (a != 0 && b != 0) ? 1 : 0; break;
-          case ExprOp::kOr: r = (a != 0 || b != 0) ? 1 : 0; break;
-          case ExprOp::kMin: r = std::fmin(a, b); break;
-          case ExprOp::kMax: r = std::fmax(a, b); break;
-          default: PI_CHECK_MSG(false, "bad opcode");
-        }
-        stack[sp - 1] = r;
-        break;
-      }
-    }
-    PI_CHECK(sp > 0 && sp <= kMaxStack);
-  }
-  PI_CHECK(sp == 1);
-  return stack[0];
-}
-
-// Register-form twin of Run(): same values bit-for-bit, same abort/error
-// behavior, same error strings and lines (the expr_diff_test suite holds the
-// two to that contract over every registry net and a fuzzed corpus). The
+// Executes the register form. It must agree bit for bit with the postfix
+// ops it was lowered from (expr_diff_test holds it to a stack-machine
+// reading of Canonical() over every shipped net and a fuzzed corpus): the
 // lowering preserves evaluation order and never reassociates, so each
-// arithmetic op here rounds exactly like its stack counterpart;
+// arithmetic op rounds exactly like its postfix counterpart, and
 // superinstructions use RoundBarrier to keep their internal multiply+add as
 // two roundings.
 template <typename SlotFn>
-double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) const {
+double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const {
   double regs[256];
   for (const std::uint32_t s : used_slots_) regs[s] = slot(s);
   const double* consts = rconsts_.data();
@@ -153,13 +86,13 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
       case Op::kFloor: regs[ins.a] = std::floor(regs[ins.b]); break;
       case Op::kAbs: regs[ins.a] = std::fabs(regs[ins.b]); break;
       case Op::kSqrt: regs[ins.a] = std::sqrt(regs[ins.b]); break;
-      case Op::kMin2: regs[ins.a] = std::fmin(regs[ins.b], regs[ins.c]); break;
-      case Op::kMax2: regs[ins.a] = std::fmax(regs[ins.b], regs[ins.c]); break;
-      case Op::kMinC: regs[ins.a] = std::fmin(regs[ins.b], consts[ins.imm]); break;
-      case Op::kMaxC: regs[ins.a] = std::fmax(regs[ins.b], consts[ins.imm]); break;
+      case Op::kMin2: regs[ins.a] = MinNum(regs[ins.b], regs[ins.c]); break;
+      case Op::kMax2: regs[ins.a] = MaxNum(regs[ins.b], regs[ins.c]); break;
+      case Op::kMinC: regs[ins.a] = MinNum(regs[ins.b], consts[ins.imm]); break;
+      case Op::kMaxC: regs[ins.a] = MaxNum(regs[ins.b], consts[ins.imm]); break;
       case Op::kClampCC:
         regs[ins.a] =
-            std::fmax(std::fmin(regs[ins.b], consts[ins.imm]), consts[ins.c]);
+            MaxNum(MinNum(regs[ins.b], consts[ins.imm]), consts[ins.c]);
         break;
       case Op::kMulAddCC:
         regs[ins.a] = RoundBarrier(regs[ins.b] * consts[ins.imm]) + consts[ins.c];
@@ -182,24 +115,6 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
   }
   PI_CHECK_MSG(false, "expression register code fell off the end");
   return 0;
-}
-
-template <typename SlotFn>
-double CompiledExpr::EvalRegs(SlotFn&& slot) const {
-  return RunRegs(static_cast<SlotFn&&>(slot), nullptr, nullptr);
-}
-
-template <typename SlotFn>
-EvalResult CompiledExpr::EvalRegsChecked(SlotFn&& slot) const {
-  EvalResult out;
-  bool failed = false;
-  const double v = RunRegs(static_cast<SlotFn&&>(slot), &failed, &out.error);
-  if (failed) {
-    return out;
-  }
-  out.ok = true;
-  out.value = Value::Number(v);
-  return out;
 }
 
 template <typename SlotFn>

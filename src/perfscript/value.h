@@ -8,9 +8,13 @@
 #ifndef SRC_PERFSCRIPT_VALUE_H_
 #define SRC_PERFSCRIPT_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+
+#include "src/common/check.h"
 
 namespace perfiface {
 
@@ -60,6 +64,35 @@ struct Value {
     return out;
   }
   bool IsNumber() const { return kind == Kind::kNumber; }
+};
+
+// The min/max of programs and net expressions: std::fmin/std::fmax (a NaN
+// operand yields the other operand) with -0 ordered below +0. fmin alone may
+// return either zero when both operands are zeros (C17 7.12.12), and which
+// one depends on how the compiler expands the call site, so every evaluator
+// and constant folder calls these instead to answer alike in every build.
+inline double MinNum(double a, double b) {
+  if (a == b) return std::signbit(a) ? a : b;
+  return std::fmin(a, b);
+}
+inline double MaxNum(double a, double b) {
+  if (a == b) return std::signbit(a) ? b : a;
+  return std::fmax(a, b);
+}
+
+// Outcome of one evaluation (a Vm call or a checked net expression): the
+// value, or the runtime error ("line N: ...") that stopped it.
+struct EvalResult {
+  bool ok = false;
+  std::string error;
+  Value value;
+
+  // Convenience: the numeric result; aborts if !ok or non-numeric.
+  double Num() const {
+    PI_CHECK_MSG(ok, error.c_str());
+    PI_CHECK_MSG(value.IsNumber(), "result is not a number");
+    return value.num;
+  }
 };
 
 }  // namespace perfiface

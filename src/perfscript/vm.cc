@@ -69,8 +69,8 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
   bool failed = false;
   Value result = Value::Number(0);
 
-  // fail() latches the first error, like Interpreter::RuntimeError, and the
-  // jump to done unwinds the whole call.
+  // fail() latches the first error, and the jump to done unwinds the whole
+  // call.
   auto fail = [&](int line, const std::string& msg) {
     failed = true;
     out.error = StrFormat("line %d: %s", line, msg.c_str());
@@ -191,10 +191,10 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         R[ins.a] = Value::Number(std::sqrt(R[ins.b].num));
         break;
       case Op::kMin2:
-        R[ins.a] = Value::Number(std::fmin(R[ins.b].num, R[ins.c].num));
+        R[ins.a] = Value::Number(MinNum(R[ins.b].num, R[ins.c].num));
         break;
       case Op::kMax2:
-        R[ins.a] = Value::Number(std::fmax(R[ins.b].num, R[ins.c].num));
+        R[ins.a] = Value::Number(MaxNum(R[ins.b].num, R[ins.c].num));
         break;
       case Op::kLen: {
         const Value& vb = R[ins.b];
@@ -258,8 +258,8 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         break;
       }
       case Op::kCall: {
-        // Depth mirrors the interpreter: the entry call is depth 1, so a
-        // nested call pushes frames_.size() + 2 total live frames.
+        // The entry call is depth 1, so a nested call makes
+        // frames_.size() + 2 live frames.
         if (frames_.size() + 2 > max_depth_) {
           fail(ins.line, "recursion depth limit exceeded");
           break;
@@ -328,14 +328,14 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         break;
       }
       case Op::kMinC:
-        R[ins.a] = Value::Number(std::fmin(R[ins.b].num, program_->consts[ins.imm]));
+        R[ins.a] = Value::Number(MinNum(R[ins.b].num, program_->consts[ins.imm]));
         break;
       case Op::kMaxC:
-        R[ins.a] = Value::Number(std::fmax(R[ins.b].num, program_->consts[ins.imm]));
+        R[ins.a] = Value::Number(MaxNum(R[ins.b].num, program_->consts[ins.imm]));
         break;
       case Op::kClampCC:
-        R[ins.a] = Value::Number(std::fmax(
-            std::fmin(R[ins.b].num, program_->consts[ins.imm]), program_->consts[ins.c]));
+        R[ins.a] = Value::Number(MaxNum(
+            MinNum(R[ins.b].num, program_->consts[ins.imm]), program_->consts[ins.c]));
         break;
       case Op::kCmpBranch: {
         const Value& va = R[ins.a];

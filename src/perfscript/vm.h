@@ -1,19 +1,18 @@
 // Register-bytecode virtual machine for compiled PerfScript programs.
 //
 // A Vm executes the CompiledProgram form produced by CompileProgram
-// (compile.h) with the same observable semantics as the tree-walking
-// Interpreter (interp.h): identical results, identical error strings,
-// identical recursion-depth limit. The one documented deviation is step
-// accounting — the VM counts one step per bytecode instruction, which is at
-// most the interpreter's per-AST-node count for the same evaluation (folding
-// and slot resolution remove work), so any step budget sufficient for the
-// interpreter is sufficient here and exhaustion still fails cleanly.
+// (compile.h); it is the only engine that runs interface programs. Its
+// observable semantics — results, error strings ("line N: ..."), the
+// recursion-depth limit — are those of the language as the reference
+// tree-walker in tests/interp_oracle.h reads it off the AST, and
+// vm_diff_test holds the two to that. Step accounting counts one step per
+// bytecode instruction.
 //
 // The hot path allocates nothing: the register file, frame stack, and
-// inline-cache array are owned by the Vm and reused across calls. Mirroring
-// the Interpreter's thread-safety contract, a Vm is STATEFUL and must not be
-// shared between threads, while the CompiledProgram it runs is immutable and
-// freely shared (each Vm keeps only per-thread inline-cache hints).
+// inline-cache array are owned by the Vm and reused across calls. A Vm is
+// STATEFUL and must not be shared between threads (create one per thread;
+// construction is cheap), while the CompiledProgram it runs is immutable
+// and freely shared (each Vm keeps only per-thread inline-cache hints).
 #ifndef SRC_PERFSCRIPT_VM_H_
 #define SRC_PERFSCRIPT_VM_H_
 
@@ -23,7 +22,7 @@
 #include <vector>
 
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
+#include "src/perfscript/value.h"
 
 namespace perfiface {
 
@@ -31,7 +30,7 @@ class Vm {
  public:
   explicit Vm(std::shared_ptr<const CompiledProgram> program);
 
-  // Calls a top-level function; mirrors Interpreter::Call exactly.
+  // Calls a top-level function with the given arguments.
   EvalResult Call(const std::string& function, const std::vector<Value>& args);
 
   void set_max_steps(std::uint64_t steps) { max_steps_ = steps; }

@@ -122,24 +122,18 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     // A constant delay must already be a valid Cycles to qualify; an
     // out-of-range constant keeps the general path so the range check
     // aborts exactly as the closure would.
-    if (spec.delay_compiled != nullptr) {
-      const CompiledExpr& e = *spec.delay_compiled;
-      if (e.has_reg_code()) {
-        info.delay_code = &e;
-      }
-      const CompiledExpr::Summary& s = e.summary();
+    info.delay_code = spec.delay_compiled.get();
+    info.guard_code = spec.guard_compiled.get();
+    if (info.delay_code != nullptr) {
+      const CompiledExpr::Summary& s = info.delay_code->summary();
       if (s.kind == CompiledExpr::Summary::Kind::kConstant && s.constant >= 0 &&
           s.constant < 1e15) {
         info.delay_const = true;
         info.const_delay = static_cast<Cycles>(std::llround(s.constant));
       }
     }
-    if (spec.guard_compiled != nullptr) {
-      const CompiledExpr& e = *spec.guard_compiled;
-      if (e.has_reg_code()) {
-        info.guard_code = &e;
-      }
-      const CompiledExpr::Summary& s = e.summary();
+    if (info.guard_code != nullptr) {
+      const CompiledExpr::Summary& s = info.guard_code->summary();
       if (s.kind == CompiledExpr::Summary::Kind::kConstant) {
         info.guard_const = true;
         info.guard_value = s.constant != 0.0;

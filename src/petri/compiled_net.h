@@ -62,8 +62,8 @@ class CompiledNet {
     // delay/guard expressions the loader attached to the spec (see
     // TransitionSpec::delay_compiled for the contract). All null/false for
     // hand-built nets; the simulator then falls back to the closures.
-    const CompiledExpr* delay_code = nullptr;  // register-evaluable delay
-    const CompiledExpr* guard_code = nullptr;  // register-evaluable guard
+    const CompiledExpr* delay_code = nullptr;  // compiled delay expression
+    const CompiledExpr* guard_code = nullptr;  // compiled guard expression
     bool guard_const = false;  // guard folds to a constant at compile time
     bool guard_value = true;   // that constant (as a bool), if guard_const
     bool delay_const = false;  // delay folds to a constant valid Cycles

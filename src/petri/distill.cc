@@ -332,8 +332,8 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
     if (trans[t].delay_const) {
       continue;  // folds into the intercept
     }
-    if (spec.delay_compiled == nullptr || !spec.delay_compiled->has_reg_code()) {
-      return refuse(StrFormat("transition '%s' has no register-evaluable delay expression",
+    if (spec.delay_compiled == nullptr) {
+      return refuse(StrFormat("transition '%s' has no compiled delay expression",
                               spec.name.c_str()));
     }
     if (feature_by_text.emplace(spec.delay_expr, model->features.size()).second) {
@@ -395,7 +395,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
     phi->clear();
     phi->push_back(1.0);
     for (const Feature& f : model->features) {
-      const EvalResult r = f.expr->EvalRegsChecked(
+      const EvalResult r = f.expr->EvalChecked(
           [&attrs](std::uint32_t s) { return s < attrs.size() ? attrs[s] : 0.0; });
       if (!r.ok || !r.value.IsNumber()) {
         return false;
@@ -580,7 +580,7 @@ DerivedStore::Outcome DerivedStore::Predict(const std::string& key, const Token&
   phi.push_back(1.0);
   for (const Feature& f : model->features) {
     const EvalResult r =
-        f.expr->EvalRegsChecked([&token](std::uint32_t s) { return token.Attr(s); });
+        f.expr->EvalChecked([&token](std::uint32_t s) { return token.Attr(s); });
     if (!r.ok || !r.value.IsNumber()) {
       return refused(Outcome::kEvalFailed);
     }

@@ -90,9 +90,9 @@ struct TransitionSpec {
   // on the front token, check [0, 1e15), llround"; guard_compiled asserts
   // that `guard` is exactly "expression != 0 on the front token". The
   // simulator uses them to classify transitions at net-compile time
-  // (constant guards, constant/register-evaluable delays) and to serve
-  // firings without entering the std::function at all — the fast paths
-  // must stay bit-identical to the closures they bypass.
+  // (constant guards, constant delays) and to serve firings without
+  // entering the std::function at all — the fast paths must stay
+  // bit-identical to the closures they bypass.
   std::shared_ptr<const CompiledExpr> delay_compiled;
   std::shared_ptr<const CompiledExpr> guard_compiled;
 };

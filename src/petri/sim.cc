@@ -124,18 +124,17 @@ bool PetriSim::TryStart(TransitionId t) {
       refs.push_back(&places_[in_arcs[i].place].tokens[k]);
     }
   }
-  // Guard, via the cheapest route the compile-time classification allows.
-  // All three routes decide enablement identically: the constant route is
-  // the folded expression value, the register route evaluates the same
-  // expression the closure wraps (same front token, same attrs), and the
-  // closure route is the pre-classification behavior.
-  if (expr_fastpath_ && trans.guard_const) {
+  // Guard, via the cheapest route the compile-time classification allows:
+  // the folded value of a constant guard, the loader's compiled expression
+  // evaluated in place (same front token, same attrs as its closure), or
+  // the closure of a net built in C++.
+  if (trans.guard_const) {
     if (!trans.guard_value) {
       return false;
     }
-  } else if (expr_fastpath_ && trans.guard_code != nullptr) {
+  } else if (trans.guard_code != nullptr) {
     const Token* primary = refs.front();
-    const double g = trans.guard_code->EvalRegs(
+    const double g = trans.guard_code->Eval(
         [primary](std::uint32_t slot) { return primary->Attr(slot); });
     if (g == 0.0) {
       return false;
@@ -162,14 +161,14 @@ bool PetriSim::TryStart(TransitionId t) {
   }
 
   // Compute delay while the token refs are still valid. Constant delays
-  // were pre-validated and rounded at net-compile time; register-evaluable
-  // delays repeat the loader closure's exact range check and rounding.
+  // were pre-validated and rounded at net-compile time; compiled delays
+  // repeat the loader closure's exact range check and rounding.
   Cycles delay;
-  if (expr_fastpath_ && trans.delay_const) {
+  if (trans.delay_const) {
     delay = trans.const_delay;
-  } else if (expr_fastpath_ && trans.delay_code != nullptr) {
+  } else if (trans.delay_code != nullptr) {
     const Token* primary = refs.front();
-    const double v = trans.delay_code->EvalRegs(
+    const double v = trans.delay_code->Eval(
         [primary](std::uint32_t slot) { return primary->Attr(slot); });
     delay = v >= 0 && v < 1e15 ? static_cast<Cycles>(std::llround(v)) : kBadDelay;
   } else {

@@ -80,13 +80,6 @@ class PetriSim {
   // aborting.
   bool delay_out_of_range() const { return delay_out_of_range_; }
 
-  // Disables the compile-time expression fast paths (constant guards,
-  // constant/register-bytecode delays) so every firing goes through the
-  // original std::function closures. The two modes are bit-identical by
-  // contract; the switch exists for benchmarking the fast paths and for
-  // bisecting a suspected divergence.
-  void set_expr_fastpath(bool on) { expr_fastpath_ = on; }
-
  private:
   struct Firing {
     TransitionId transition = 0;
@@ -137,7 +130,6 @@ class PetriSim {
   std::uint64_t max_firings_ = 500'000'000;
   bool budget_exhausted_ = false;
   bool delay_out_of_range_ = false;
-  bool expr_fastpath_ = true;
   // Allocates a slab slot for an in-flight firing and schedules it.
   Firing& ScheduleFiring(Cycles complete_at);
 

@@ -8,9 +8,13 @@
 // under the lock. Items without a deadline land in the least urgent band
 // so background traffic never delays SLO-bound requests.
 //
-// Same contract as BoundedQueue (src/serve/mpmc_queue.h): shared total
-// capacity across bands, Push blocks while full, Pop drains remaining
-// items after Close so shutdown never drops accepted work.
+// Contract: one total capacity shared across bands; Push blocks while the
+// queue is full and returns false (item dropped) once it is closed; Close
+// wakes every waiter; Pop keeps returning the accepted items after Close
+// and reports closure only when none remain, so shutdown never drops
+// accepted work. Mutex + condition variables: simple, correct under
+// ThreadSanitizer, and not the bottleneck — producers enqueue request
+// chunks, so the per-query share of the lock handoff is small.
 #ifndef SRC_SERVE_DEADLINE_QUEUE_H_
 #define SRC_SERVE_DEADLINE_QUEUE_H_
 

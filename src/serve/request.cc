@@ -169,17 +169,19 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
     key += req.function;
   } else {
     const int default_count = std::max(1, req.tokens);
-    const std::size_t spec_start = key.size();
-    AppendCanonicalEntryPlace(req.entry_place, default_count, &key);
-    if (key.size() == spec_start) {
+    if (req.entry_place.empty()) {
       // Empty spec means "first declared place, `tokens` copies" — the
-      // count is the only degree of freedom left.
+      // count is the only degree of freedom left. Keyed before
+      // canonicalizing: the canonical form of "" is ":N", which is also
+      // the key of the invalid spec ":N".
       key += "@first:";
       AppendInt(&key, default_count);
+    } else {
+      // Every count is explicit in the canonical spec, so the `tokens`
+      // field no longer matters: "vld_in" with tokens=8 and "vld_in:8"
+      // with tokens=1 are the same query.
+      AppendCanonicalEntryPlace(req.entry_place, default_count, &key);
     }
-    // Otherwise every count is explicit in the canonical spec, so the
-    // `tokens` field no longer matters: "vld_in" with tokens=8 and
-    // "vld_in:8" with tokens=1 are the same query.
   }
   key += "\x1f" "c";
   AppendInt(&key, req.children);

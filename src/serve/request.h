@@ -44,7 +44,7 @@ struct PredictRequest {
   std::string entry_place;
   int tokens = 1;  // copies used when entry_place names no :count
 
-  // Resource limits. max_steps bounds interpreter steps (program) or net
+  // Resource limits. max_steps bounds VM instructions (program) or net
   // firings (pnet); 0 means the service default. deadline_us is a wall
   // clock budget measured from batch submission; 0 means none. See
   // docs/serving.md for how the deadline maps onto the step budget.
@@ -93,7 +93,7 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out);
 // tracks; requesting it costs a few string copies, not extra evaluation.
 struct ExplainInfo {
   bool filled = false;
-  // Which machinery produced the value: "psc-vm", "psc-interp", "pnet",
+  // Which machinery produced the value: "psc-vm", "pnet",
   // "pnet-memo" (every component answered from the memo table),
   // "pnet-derived" (no simulation; at least one component served from a
   // distilled closed-form interface, src/petri/distill.h),
@@ -106,7 +106,7 @@ struct ExplainInfo {
   std::string cache;
   std::uint64_t queue_wait_ns = 0;  // batch submission -> worker pickup
   std::uint64_t eval_ns = 0;        // same clock as PredictResponse::eval_ns
-  // Interpreter/VM steps (program) or net firings consumed (pnet).
+  // VM steps (program) or net firings consumed (pnet).
   std::uint64_t steps = 0;
   // Pnet memo path: components consulted and how many hit the memo table.
   std::uint64_t memo_components = 0;

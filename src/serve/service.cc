@@ -127,7 +127,7 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
                     options_.shadow_drift_threshold},
       names);
   // One scrape via MetricsRegistry::RenderPrometheus() unifies this
-  // service's families with the process-wide interp/pnet/sim counters (and
+  // service's families with the process-wide vm/pnet/sim counters (and
   // the shadow-validation series when the sampler is on).
   metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
     *out += metrics_->DumpPrometheus(queue_depth());
@@ -191,14 +191,12 @@ std::string PredictionService::StatuszJson() const {
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
       "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,\"param_memo\":%s,"
       "\"param_memo_min_samples\":%zu,\"param_memo_max_rel_err\":%.9g,\"derived\":%s,"
-      "\"psc_compile\":%s,"
       "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
       "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g,\"span_ring\":%s},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
       options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
       options_.enable_param_memo ? "true" : "false", options_.param_memo_min_samples,
       options_.param_memo_max_rel_err, options_.enable_derived ? "true" : "false",
-      options_.enable_psc_compile ? "true" : "false",
       static_cast<unsigned long long>(options_.default_max_steps),
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
@@ -569,7 +567,6 @@ PredictionService::BatchHandle PredictionService::SubmitBatch(
 
 void PredictionService::WorkerLoop() {
   WorkerState state;
-  state.interps.resize(entries_.size());
   state.vms.resize(entries_.size());
   Job job;
   for (;;) {
@@ -856,13 +853,22 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request, const
           ? EvaluateProgram(request, entry, probed.entry, budget, outcome.deadline_limited,
                             state, &outcome.detail)
           : EvaluatePnet(request, entry, budget, outcome.deadline_limited, &outcome.detail);
-  if (response.ok() && !(std::isfinite(response.value) && std::isfinite(response.throughput))) {
-    // JSON has no inf/nan, and no latency is infinite: an overflowing
-    // interface answers an error, which is never cached.
-    response.status = PredictStatus::kError;
-    response.error = "non-finite result";
-    response.value = 0;
-    response.throughput = 0;
+  if (response.ok()) {
+    // JSON has no inf/nan, and no latency or throughput is infinite or
+    // negative: an interface driven outside its domain (say orig_size=-1)
+    // answers an error, which is never cached.
+    const char* bad = nullptr;
+    if (!(std::isfinite(response.value) && std::isfinite(response.throughput))) {
+      bad = "non-finite result";
+    } else if (response.value < 0 || response.throughput < 0) {
+      bad = "negative result";
+    }
+    if (bad != nullptr) {
+      response.status = PredictStatus::kError;
+      response.error = bad;
+      response.value = 0;
+      response.throughput = 0;
+    }
   }
   if (response.ok()) {
     // Shadow validation rides the miss path only: a cached prediction was
@@ -895,50 +901,20 @@ PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request
   }
   workload.AddUniformChildren(request.children);
 
-  // Compiled path: one Vm per (worker, program), never shared across
-  // threads, with identical observable semantics to the interpreter (the
-  // vm_diff_test contract). Programs outside the compilable subset fall
-  // back to tree-walking, counted so operators can see fallback in
-  // production scrapes.
-  EvalResult result;
-  bool budget_exhausted = false;
-  if (options_.enable_psc_compile && iface.compiled() != nullptr) {
-    std::unique_ptr<Vm>& slot = state->vms[entry_idx];
-    if (slot == nullptr) {
-      slot = std::make_unique<Vm>(iface.compiled());
-    }
-    Vm& vm = *slot;
-    vm.set_max_steps(budget);
-    result = vm.Call(request.function, {Value::Object(&workload)});
-    budget_exhausted = vm.step_budget_exhausted();
-    detail->representation = "psc-vm";
-    detail->steps = vm.steps_used();
-  } else {
-    if (options_.enable_psc_compile) {
-      static obs::MetricsRegistry::Counter& fallback_total =
-          obs::MetricsRegistry::Global().GetCounter(
-              "perfiface_psc_vm_fallback_total",
-              "Program queries served by the interpreter because the program did not compile");
-      fallback_total.Increment();
-    }
-    // One interpreter per (worker, program), never shared across threads.
-    std::unique_ptr<Interpreter>& slot = state->interps[entry_idx];
-    if (slot == nullptr) {
-      slot = std::make_unique<Interpreter>(iface.program().get());
-      for (const auto& c : iface.constants()) {
-        slot->SetGlobal(c.first, c.second);
-      }
-    }
-    Interpreter& interp = *slot;
-    interp.set_max_steps(budget);
-    result = interp.Call(request.function, {Value::Object(&workload)});
-    budget_exhausted = interp.step_budget_exhausted();
-    detail->representation = "psc-interp";
-    detail->steps = interp.steps_used();
+  // One Vm per (worker, program), never shared across threads; the
+  // registry compiled every program at load.
+  std::unique_ptr<Vm>& slot = state->vms[entry_idx];
+  if (slot == nullptr) {
+    slot = std::make_unique<Vm>(iface.compiled());
   }
+  Vm& vm = *slot;
+  vm.set_max_steps(budget);
+  const EvalResult result = vm.Call(request.function, {Value::Object(&workload)});
+  detail->representation = "psc-vm";
+  detail->steps = vm.steps_used();
 
   if (!result.ok) {
-    if (budget_exhausted) {
+    if (vm.step_budget_exhausted()) {
       response.status =
           deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
     } else {

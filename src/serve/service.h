@@ -10,7 +10,7 @@
 //   clients ──Predict/PredictBatch/SubmitBatch──▶ admission control ──▶
 //       cache probe on the submitting thread (sharded LRU cache; hits and
 //       early outcomes resolve here) ──▶ misses only: deadline-bucketed
-//       MPMC queue (request chunks) ──▶ workers (one Vm/Interpreter per
+//       MPMC queue (request chunks) ──▶ workers (one bytecode Vm per
 //       thread per program — never shared) ──▶ process-wide sub-net memo
 //       (src/petri/pnet_memo.h) ──▶ cache fill
 //
@@ -20,7 +20,7 @@
 // hash, so repeated *structure* is cheap even across different nets.
 // Registry lookups go through a lock-free direct-mapped hot tier over a
 // hash index — no linear scan on the hot path. Per-request deadlines ride
-// on the interpreter's step budget (docs/serving.md).
+// on the Vm's step budget (docs/serving.md).
 //
 // Thread-safety: all public methods are safe from any thread. Shutdown
 // (or destruction) drains accepted work, then rejects later submissions.
@@ -93,14 +93,12 @@ struct ServiceOptions {
   // hull) falls back to the lower tiers bit-identically. Off by default.
   // Requires enable_pnet_memo (the tier lives on the per-component path).
   bool enable_derived = false;
-  // Evaluate program interfaces through their compiled bytecode (one Vm per
-  // worker per program) instead of the tree-walking interpreter. Programs
-  // outside the compilable subset always use the interpreter. Off, every
-  // program query tree-walks — useful for benchmarking and for verifying
-  // equivalence (serve_tool --no-compile).
-  bool enable_psc_compile = true;
-  // Default evaluation budget: interpreter steps (program queries) or net
-  // firings (pnet queries).
+  // Program interfaces always run as compiled bytecode (one Vm per worker
+  // per program). A constant, not an option: perfbench's facts line still
+  // prints it.
+  static constexpr bool enable_psc_compile = true;
+  // Default evaluation budget: Vm steps (program queries) or net firings
+  // (pnet queries).
   std::uint64_t default_max_steps = 5'000'000;
   // Deadline→budget conversion: a request with deadline_us left gets at
   // most deadline_us * steps_per_us steps (docs/serving.md).
@@ -196,7 +194,7 @@ class PredictionService {
   std::string StatsText() const { return metrics_->DumpText(queue_depth()); }
   std::string StatsJson() const { return metrics_->DumpJson(queue_depth()); }
   // Prometheus scrape: this service's families plus the process-wide
-  // interp/pnet/sim counters (the service registers itself as a collector
+  // vm/pnet/sim counters (the service registers itself as a collector
   // with obs::MetricsRegistry; see docs/observability.md).
   std::string StatsPrometheus() const;
 
@@ -290,12 +288,10 @@ class PredictionService {
     Clock::time_point enqueued{};
   };
 
-  // Per-worker evaluation state: one Interpreter (and one bytecode Vm, for
-  // entries that compiled) per program, created lazily and reused across
-  // requests (Call resets per-call state).
+  // Per-worker evaluation state: one bytecode Vm per program, created
+  // lazily and reused across requests (Call resets per-call state).
   struct WorkerState {
-    std::vector<std::unique_ptr<Interpreter>> interps;  // by entry index
-    std::vector<std::unique_ptr<Vm>> vms;               // by entry index
+    std::vector<std::unique_ptr<Vm>> vms;  // by entry index
   };
 
   // Evaluation-path facts threaded out of EvaluateProgram/EvaluatePnet so
@@ -303,10 +299,10 @@ class PredictionService {
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "cache" | "psc-vm" | "psc-interp" | "pnet" | "pnet-memo" |
-    // "pnet-derived" | "pnet-param"
+    // "cache" | "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived" |
+    // "pnet-param"
     const char* representation = "";
-    std::uint64_t steps = 0;          // interpreter/VM steps or net firings
+    std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;
     std::uint64_t memo_hits = 0;
     std::uint64_t derived_hits = 0;   // components served by distilled closed forms

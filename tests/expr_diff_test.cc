@@ -1,11 +1,11 @@
 // Differential equivalence for the unified expression IR: the register
-// bytecode (CompiledExpr::EvalRegs / EvalRegsChecked, with the shared
-// superinstruction peephole) must be observably identical to the stack
-// evaluator (Eval / EvalChecked) — bit-exact doubles, including the NaN
-// produced, and byte-identical error strings. This is the contract that
-// lets the simulator's fast paths (src/petri/sim.cc) and the distiller
-// (src/petri/distill.cc) run the register form in place of the stack
-// form without changing a single answer.
+// bytecode a CompiledExpr runs (Eval / EvalChecked, with constant folding
+// and the shared superinstruction peephole) must be observably identical
+// to the postfix ops it was lowered from — bit-exact doubles, including
+// the NaN produced, and byte-identical error strings. The oracle here is a
+// stack machine over Canonical(), the serialized postfix form that memo
+// keys and CompiledNet's structural hash are computed from, so the check
+// also pins the register code to what those keys claim it computes.
 //
 // Two corpora: every delay/guard expression of every shipped .pnet
 // interface, and a seeded random-expression fuzz over the full operator
@@ -13,6 +13,7 @@
 // non-integers, huge magnitudes, NaN, and +/-Inf.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -23,7 +24,6 @@
 
 #include "src/core/pnet.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/petri/net.h"
 
 namespace perfiface {
@@ -66,30 +66,99 @@ double DrawAttr(std::uint64_t* rng) {
   return static_cast<double>(NextRand(rng) % 100000) / 4.0;
 }
 
-// Asserts stack and register evaluation agree on one attribute vector:
+// The oracle: evaluates Canonical()'s "op:value:slot;" postfix ops on a
+// stack, in order, with no folding. Opcode numbers are CompiledExpr's
+// ExprOp enum (kConst=0 ... kMax=22), which Canonical() promises to keep
+// stable. Net expressions are single-line sources, so a division or
+// modulo by zero reports line 1.
+EvalResult EvalCanonical(const std::string& canonical, const std::vector<double>& attrs) {
+  EvalResult out;
+  std::vector<double> stack;
+  const char* p = canonical.c_str();
+  while (*p != '\0') {
+    char* end = nullptr;
+    const unsigned op = static_cast<unsigned>(std::strtoul(p, &end, 10));
+    const double value = std::strtod(end + 1, &end);
+    const auto slot = static_cast<std::uint32_t>(std::strtoul(end + 1, &end, 10));
+    p = end + 1;  // past ';'
+    if (op == 0) {
+      stack.push_back(value);
+      continue;
+    }
+    if (op == 1) {
+      stack.push_back(slot < attrs.size() ? attrs[slot] : 0.0);
+      continue;
+    }
+    if (op >= 15 && op <= 20) {  // unary: neg not ceil floor abs sqrt
+      double& x = stack.back();
+      switch (op) {
+        case 15: x = -x; break;
+        case 16: x = x == 0 ? 1 : 0; break;
+        case 17: x = std::ceil(x); break;
+        case 18: x = std::floor(x); break;
+        case 19: x = std::fabs(x); break;
+        default: x = std::sqrt(x); break;
+      }
+      continue;
+    }
+    const double b = stack.back();
+    stack.pop_back();
+    double& a = stack.back();
+    switch (op) {
+      case 2: a = a + b; break;
+      case 3: a = a - b; break;
+      case 4: a = a * b; break;
+      case 5:
+      case 6:
+        if (b == 0) {
+          out.error = op == 5 ? "line 1: division by zero" : "line 1: modulo by zero";
+          return out;
+        }
+        a = op == 5 ? a / b : std::fmod(a, b);
+        break;
+      case 7: a = a < b ? 1 : 0; break;
+      case 8: a = a <= b ? 1 : 0; break;
+      case 9: a = a > b ? 1 : 0; break;
+      case 10: a = a >= b ? 1 : 0; break;
+      case 11: a = a == b ? 1 : 0; break;
+      case 12: a = a != b ? 1 : 0; break;
+      case 13: a = (a != 0 && b != 0) ? 1 : 0; break;
+      case 14: a = (a != 0 || b != 0) ? 1 : 0; break;
+      case 21: a = MinNum(a, b); break;
+      case 22: a = MaxNum(a, b); break;
+      default: ADD_FAILURE() << "unknown opcode " << op << " in " << canonical; return out;
+    }
+  }
+  EXPECT_EQ(stack.size(), 1u) << canonical;
+  out.ok = true;
+  out.value = Value::Number(stack.back());
+  return out;
+}
+
+// Asserts the oracle and the register code agree on one attribute vector:
 // same ok flag, byte-identical error, bit-exact value. When the checked
-// form succeeds, the aborting forms are also exercised (they are the
-// ones the simulator hot loop calls).
+// form succeeds, the aborting form is also exercised (it is the one the
+// simulator hot loop calls).
 void ExpectSame(const CompiledExpr& expr, const std::vector<double>& attrs,
                 const std::string& what) {
   const auto slot = [&attrs](std::uint32_t s) {
     return s < attrs.size() ? attrs[s] : 0.0;
   };
-  const EvalResult stack = expr.EvalChecked(slot);
-  const EvalResult regs = expr.EvalRegsChecked(slot);
-  ASSERT_EQ(stack.ok, regs.ok) << what;
-  if (!stack.ok) {
-    EXPECT_EQ(stack.error, regs.error) << what;
+  const EvalResult oracle = EvalCanonical(expr.Canonical(), attrs);
+  const EvalResult regs = expr.EvalChecked(slot);
+  ASSERT_EQ(oracle.ok, regs.ok) << what << ": " << oracle.error << " / " << regs.error;
+  if (!oracle.ok) {
+    EXPECT_EQ(oracle.error, regs.error) << what;
     return;
   }
-  EXPECT_TRUE(BitEqual(stack.Num(), regs.Num()))
-      << what << ": stack=" << stack.Num() << " regs=" << regs.Num();
-  EXPECT_TRUE(BitEqual(expr.Eval(slot), expr.EvalRegs(slot))) << what;
+  EXPECT_TRUE(BitEqual(oracle.Num(), regs.Num()))
+      << what << ": oracle=" << oracle.Num() << " regs=" << regs.Num();
+  EXPECT_TRUE(BitEqual(oracle.Num(), expr.Eval(slot))) << what;
 }
 
 TEST(ExprDiff, ShippedNetExpressionsAgree) {
   std::uint64_t rng = 0x9d1f29a4c0ffee01ULL;
-  std::size_t with_reg_code = 0;
+  std::size_t expressions = 0;
   for (const char* name : {"jpeg", "protoacc", "vta", "conv"}) {
     const LoadedNet loaded = LoadPnetFile(std::string(PERFIFACE_SOURCE_DIR) +
                                           "/src/core/interfaces/" + name + ".pnet");
@@ -97,8 +166,8 @@ TEST(ExprDiff, ShippedNetExpressionsAgree) {
     const std::size_t num_attrs = loaded.net->attr_names().size();
     for (const TransitionSpec& spec : loaded.net->transitions()) {
       for (const auto& compiled : {spec.delay_compiled, spec.guard_compiled}) {
-        if (compiled == nullptr || !compiled->has_reg_code()) continue;
-        ++with_reg_code;
+        if (compiled == nullptr) continue;
+        ++expressions;
         for (int trial = 0; trial < 64; ++trial) {
           std::vector<double> attrs(num_attrs);
           for (double& a : attrs) a = DrawAttr(&rng);
@@ -109,10 +178,9 @@ TEST(ExprDiff, ShippedNetExpressionsAgree) {
       }
     }
   }
-  // The point of the lowering is that the shipped interfaces actually use
-  // it; a silent fall-back to the stack form everywhere would pass the
-  // comparisons vacuously.
-  EXPECT_GT(with_reg_code, 10u);
+  // Every delay and guard of the shipped nets compiled (a loader that
+  // attached none would pass the comparisons vacuously).
+  EXPECT_GT(expressions, 10u);
 }
 
 // --------------------------------------------------------------------------
@@ -160,24 +228,19 @@ TEST(ExprDiff, RandomExpressionCorpusAgrees) {
   ExprCompileOptions options;
   options.domain = "net expressions";  // match the .pnet loader's error phrasing
 
-  std::size_t with_reg_code = 0;
+  // Lowering is total: all 400 expressions compile to register code.
   for (int i = 0; i < 400; ++i) {
     const std::string source = GenExpr(&rng, 5);
     std::string error;
     const auto expr = CompiledExpr::CompileSource(source, binder, &error, options);
     ASSERT_NE(expr, nullptr) << source << ": " << error;
-    if (!expr->has_reg_code()) continue;
-    ++with_reg_code;
+    ASSERT_FALSE(expr->reg_code().empty()) << source;
     for (int trial = 0; trial < 16; ++trial) {
       std::vector<double> attrs(3);
       for (double& a : attrs) a = DrawAttr(&rng);
       ExpectSame(*expr, attrs, source);
     }
   }
-  // Constant folding may collapse an expression to a literal, and register
-  // pressure may force the stack fall-back, but the lowering must cover
-  // the overwhelming bulk of a mixed corpus.
-  EXPECT_GT(with_reg_code, 200u);
 }
 
 TEST(ExprDiff, DivisionByZeroErrorStringsMatchTheLoader) {
@@ -190,14 +253,63 @@ TEST(ExprDiff, DivisionByZeroErrorStringsMatchTheLoader) {
   std::string error;
   const auto expr = CompiledExpr::CompileSource("(7 / a)", binder, &error, options);
   ASSERT_NE(expr, nullptr) << error;
-  ASSERT_TRUE(expr->has_reg_code());
-  const auto zero = [](std::uint32_t) { return 0.0; };
-  const EvalResult stack = expr->EvalChecked(zero);
-  const EvalResult regs = expr->EvalRegsChecked(zero);
-  ASSERT_FALSE(stack.ok);
+  const EvalResult regs = expr->EvalChecked([](std::uint32_t) { return 0.0; });
   ASSERT_FALSE(regs.ok);
-  EXPECT_EQ(stack.error, regs.error);
-  EXPECT_NE(stack.error.find("division by zero"), std::string::npos) << stack.error;
+  EXPECT_EQ(regs.error, "line 1: division by zero");
+  EXPECT_EQ(regs.error, EvalCanonical(expr->Canonical(), {0.0}).error);
+}
+
+// min/max order -0 below +0 in every form the lowering can pick (plain,
+// constant-second, clamp, folded), so the sign of a zero result never
+// depends on how a build expands the call.
+TEST(ExprDiff, MinMaxOrderSignedZeros) {
+  const auto slot_binder = [](std::string_view name) -> std::optional<ExprBinding> {
+    return ExprBinding::Slot(static_cast<std::uint32_t>(std::stoul(std::string(name.substr(1)))));
+  };
+  struct Case {
+    const char* source;
+    std::vector<double> attrs;
+    bool negative;  // expected sign of the zero result
+  };
+  const std::vector<Case> cases = {
+      {"min(a0, a1)", {-0.0, 0.0}, true},   {"min(a0, a1)", {0.0, -0.0}, true},
+      {"max(a0, a1)", {-0.0, 0.0}, false},  {"max(a0, a1)", {0.0, -0.0}, false},
+      {"min(a0, 0)", {-0.0}, true},         {"min(a0, -0)", {0.0}, true},
+      {"max(a0, 0)", {-0.0}, false},        {"max(a0, -0)", {0.0}, false},
+      {"max(min(a0, -0), 0)", {0.0}, false},
+      // Folded at compile time; a0 * 0 + x keeps the sign of a zero x
+      // when a0 is -0.
+      {"a0 * 0 + min(-0, 0)", {-0.0}, true}, {"a0 * 0 + max(-0, 0)", {-0.0}, false},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    const auto expr = CompiledExpr::CompileSource(c.source, slot_binder, &error);
+    ASSERT_NE(expr, nullptr) << c.source << ": " << error;
+    const double got = expr->Eval([&c](std::uint32_t s) { return c.attrs[s]; });
+    EXPECT_EQ(got, 0.0) << c.source;
+    EXPECT_EQ(std::signbit(got), c.negative) << c.source << " a0=" << c.attrs[0];
+    ExpectSame(*expr, c.attrs, c.source);
+  }
+}
+
+// Lowering is total within the documented limits; past them, compilation
+// fails with an error naming the limit instead of leaving an expression
+// without register code.
+TEST(ExprDiff, ExpressionsPastTheLimitsAreCompileErrors) {
+  const auto slot_binder = [](std::string_view name) -> std::optional<ExprBinding> {
+    return ExprBinding::Slot(static_cast<std::uint32_t>(std::stoul(std::string(name.substr(1)))));
+  };
+  std::string error;
+  EXPECT_NE(CompiledExpr::CompileSource("a179 + 1", slot_binder, &error), nullptr) << error;
+  EXPECT_EQ(CompiledExpr::CompileSource("a180 + 1", slot_binder, &error), nullptr);
+  EXPECT_EQ(error,
+            "expression reads attribute slot 180; net expressions address at most 180 "
+            "attribute slots");
+
+  std::string deep = "a0";
+  for (int i = 0; i < 70; ++i) deep = "a1 * (" + deep + " + a2)";
+  EXPECT_EQ(CompiledExpr::CompileSource(deep, slot_binder, &error), nullptr);
+  EXPECT_EQ(error, "expression too deep");
 }
 
 }  // namespace

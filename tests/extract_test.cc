@@ -97,7 +97,8 @@ TEST(Extractor, ExtractedJpegProgramRunsAndPredicts) {
 
   // The emitted text must be a valid PerfScript program whose predictions
   // track the hardware on held-out images.
-  const ProgramInterface program = ProgramInterface::FromSource(extracted.psc_source);
+  ProgramInterface program = ProgramInterface::FromSource(extracted.psc_source);
+  program.Compile();
   double sum_err = 0;
   std::size_t n = 0;
   for (const ImageWorkload& w : GenerateImageCorpus(40, 97531)) {

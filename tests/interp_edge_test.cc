@@ -1,27 +1,35 @@
-// PerfScript interpreter edge cases beyond perfscript_test.cc: forward
-// references, nesting, shadowing, resource limits, and grammar corners that
-// shipped interfaces are allowed to rely on.
+// PerfScript edge cases beyond perfscript_test.cc, run on the bytecode Vm
+// that serves interface programs: forward references, nesting, shadowing,
+// resource limits, and grammar corners that shipped interfaces are allowed
+// to rely on.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "src/perfscript/interp.h"
+#include "src/perfscript/compile.h"
 #include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 
 namespace perfiface {
 namespace {
 
-double Eval(const std::string& src, const std::string& fn,
-            const std::vector<Value>& args = {}) {
+std::shared_ptr<const CompiledProgram> CompileSource(const std::string& src) {
   ParseResult parsed = ParseProgram(src);
   EXPECT_TRUE(parsed.ok) << parsed.error;
-  Interpreter interp(&parsed.program);
-  const EvalResult r = interp.Call(fn, args);
+  CompileProgramResult compiled = CompileProgram(parsed.program, {});
+  EXPECT_TRUE(compiled.ok()) << compiled.error;
+  return compiled.program;
+}
+
+double Eval(const std::string& src, const std::string& fn,
+            const std::vector<Value>& args = {}) {
+  Vm vm(CompileSource(src));
+  const EvalResult r = vm.Call(fn, args);
   EXPECT_TRUE(r.ok) << r.error;
   return r.value.num;
 }
 
-TEST(InterpEdge, ForwardReferencesAcrossFunctions) {
+TEST(ProgramEdge, ForwardReferencesAcrossFunctions) {
   // `caller` is defined before `callee` in the source: name resolution is
   // by program, not by position (Fig 3's read_cost relies on this pattern
   // in reverse).
@@ -35,7 +43,7 @@ TEST(InterpEdge, ForwardReferencesAcrossFunctions) {
   EXPECT_DOUBLE_EQ(Eval(src, "caller", {Value::Number(5)}), 11.0);
 }
 
-TEST(InterpEdge, NestedForLoops) {
+TEST(ProgramEdge, NestedForLoops) {
   class Grid : public ScriptObject {
    public:
     explicit Grid(int depth) {
@@ -72,7 +80,7 @@ TEST(InterpEdge, NestedForLoops) {
   EXPECT_DOUBLE_EQ(Eval(src, "count", {Value::Object(&grid)}), 9.0);
 }
 
-TEST(InterpEdge, LoopVariableShadowsAndPersists) {
+TEST(ProgramEdge, LoopVariableShadowsAndPersists) {
   class Two : public ScriptObject {
    public:
     std::optional<double> GetAttr(std::string_view) const override { return std::nullopt; }
@@ -94,7 +102,7 @@ TEST(InterpEdge, LoopVariableShadowsAndPersists) {
   EXPECT_DOUBLE_EQ(Eval(src, "f", {Value::Object(&two)}), 7.0);
 }
 
-TEST(InterpEdge, EarlyReturnFromLoop) {
+TEST(ProgramEdge, EarlyReturnFromLoop) {
   class Five : public ScriptObject {
    public:
     std::optional<double> GetAttr(std::string_view name) const override {
@@ -121,43 +129,41 @@ TEST(InterpEdge, EarlyReturnFromLoop) {
   EXPECT_DOUBLE_EQ(Eval(src, "f", {Value::Object(&five)}), 6.0);
 }
 
-TEST(InterpEdge, StepBudgetStopsLongLoops) {
+TEST(ProgramEdge, StepBudgetStopsLongLoops) {
   class Wide : public ScriptObject {
    public:
     std::optional<double> GetAttr(std::string_view) const override { return 1.0; }
     std::size_t NumChildren() const override { return 1000000; }
     const ScriptObject* Child(std::size_t) const override { return this; }
   };
-  ParseResult parsed = ParseProgram(
+  Vm vm(CompileSource(
       "def f(o):\n"
       " n = 0\n"
       " for c in o:\n"
       "  n += 1\n"
       " end\n"
       " return n\n"
-      "end\n");
-  ASSERT_TRUE(parsed.ok);
-  Interpreter interp(&parsed.program);
-  interp.set_max_steps(10000);
+      "end\n"));
+  vm.set_max_steps(10000);
   Wide wide;
-  const EvalResult r = interp.Call("f", {Value::Object(&wide)});
+  const EvalResult r = vm.Call("f", {Value::Object(&wide)});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("step budget"), std::string::npos);
-  EXPECT_TRUE(interp.step_budget_exhausted());
+  EXPECT_TRUE(vm.step_budget_exhausted());
 }
 
-TEST(InterpEdge, UnboundedLoopFailsCleanlyAndInterpreterStaysUsable) {
+TEST(ProgramEdge, UnboundedLoopFailsCleanlyAndVmStaysUsable) {
   // An effectively unbounded loop (the object claims endless children) must
   // come back as a clean error under max_steps — never an abort or a hang —
-  // and the same interpreter must answer the next call normally, because
-  // serving workers reuse one interpreter per thread across requests.
+  // and the same Vm must answer the next call normally, because serving
+  // workers reuse one Vm per thread across requests.
   class Endless : public ScriptObject {
    public:
     std::optional<double> GetAttr(std::string_view) const override { return 1.0; }
     std::size_t NumChildren() const override { return static_cast<std::size_t>(-1); }
     const ScriptObject* Child(std::size_t) const override { return this; }
   };
-  ParseResult parsed = ParseProgram(
+  Vm vm(CompileSource(
       "def f(o):\n"
       " n = 0\n"
       " for c in o:\n"
@@ -167,43 +173,41 @@ TEST(InterpEdge, UnboundedLoopFailsCleanlyAndInterpreterStaysUsable) {
       "end\n"
       "def g():\n"
       " return 42\n"
-      "end\n");
-  ASSERT_TRUE(parsed.ok);
-  Interpreter interp(&parsed.program);
-  interp.set_max_steps(5000);
+      "end\n"));
+  vm.set_max_steps(5000);
   Endless endless;
-  const EvalResult r = interp.Call("f", {Value::Object(&endless)});
+  const EvalResult r = vm.Call("f", {Value::Object(&endless)});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("step budget exhausted"), std::string::npos);
-  EXPECT_TRUE(interp.step_budget_exhausted());
-  EXPECT_LE(interp.steps_used(), 5001u);
+  EXPECT_TRUE(vm.step_budget_exhausted());
+  EXPECT_LE(vm.steps_used(), 5001u);
 
   // Call resets the per-call state: the next request succeeds.
-  const EvalResult ok = interp.Call("g", {});
+  const EvalResult ok = vm.Call("g", {});
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_DOUBLE_EQ(ok.value.num, 42.0);
-  EXPECT_FALSE(interp.step_budget_exhausted());
+  EXPECT_FALSE(vm.step_budget_exhausted());
 }
 
-TEST(InterpEdge, ComparisonChainsAreLeftAssociative) {
+TEST(ProgramEdge, ComparisonChainsAreLeftAssociative) {
   // (1 < 2) < 3  ->  1 < 3  ->  1.
   EXPECT_DOUBLE_EQ(Eval("def f():\n return 1 < 2 < 3\nend\n", "f"), 1.0);
   // (3 < 2) < 1  ->  0 < 1  ->  1 (documenting non-Python chaining).
   EXPECT_DOUBLE_EQ(Eval("def f():\n return 3 < 2 < 1\nend\n", "f"), 1.0);
 }
 
-TEST(InterpEdge, NotOperator) {
+TEST(ProgramEdge, NotOperator) {
   EXPECT_DOUBLE_EQ(Eval("def f():\n return not 0\nend\n", "f"), 1.0);
   EXPECT_DOUBLE_EQ(Eval("def f():\n return not 3\nend\n", "f"), 0.0);
   EXPECT_DOUBLE_EQ(Eval("def f():\n return not not 3\nend\n", "f"), 1.0);
 }
 
-TEST(InterpEdge, ModuloOnDoubles) {
+TEST(ProgramEdge, ModuloOnDoubles) {
   EXPECT_DOUBLE_EQ(Eval("def f():\n return 7 % 3\nend\n", "f"), 1.0);
   EXPECT_DOUBLE_EQ(Eval("def f():\n return 7.5 % 2\nend\n", "f"), 1.5);
 }
 
-TEST(InterpEdge, MutualRecursionWithDepthLimit) {
+TEST(ProgramEdge, MutualRecursionWithDepthLimit) {
   const std::string src =
       "def even(n):\n"
       " if n == 0:\n"
@@ -220,19 +224,18 @@ TEST(InterpEdge, MutualRecursionWithDepthLimit) {
   EXPECT_DOUBLE_EQ(Eval(src, "even", {Value::Number(10)}), 1.0);
   EXPECT_DOUBLE_EQ(Eval(src, "even", {Value::Number(7)}), 0.0);
 
-  ParseResult parsed = ParseProgram(src);
-  ASSERT_TRUE(parsed.ok);
-  Interpreter interp(&parsed.program);
-  interp.set_max_depth(16);
-  const EvalResult r = interp.Call("even", {Value::Number(100)});
+  Vm vm(CompileSource(src));
+  vm.set_max_depth(16);
+  const EvalResult r = vm.Call("even", {Value::Number(100)});
   EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("recursion depth limit exceeded"), std::string::npos) << r.error;
 }
 
-TEST(InterpEdge, FunctionWithoutReturnYieldsZero) {
+TEST(ProgramEdge, FunctionWithoutReturnYieldsZero) {
   EXPECT_DOUBLE_EQ(Eval("def f():\n x = 3\nend\n", "f"), 0.0);
 }
 
-TEST(InterpEdge, ObjectsPassThroughCalls) {
+TEST(ProgramEdge, ObjectsPassThroughCalls) {
   class Leaf : public ScriptObject {
    public:
     std::optional<double> GetAttr(std::string_view name) const override {
@@ -253,7 +256,7 @@ TEST(InterpEdge, ObjectsPassThroughCalls) {
   EXPECT_DOUBLE_EQ(Eval(src, "f", {Value::Object(&leaf)}), 14.0);
 }
 
-TEST(InterpEdge, CommentsAndBlankLinesEverywhere) {
+TEST(ProgramEdge, CommentsAndBlankLinesEverywhere) {
   const std::string src =
       "# leading comment\n"
       "\n"

@@ -2,7 +2,7 @@
 // nesting across threads, deterministic seeded sampling, the wait-free
 // disabled hot path (verified allocation-free via a counting operator new),
 // Chrome trace_event JSON well-formedness (parsed back by a real JSON
-// parser below), the cross-layer acceptance trace (serve + interp + pnet +
+// parser below), the cross-layer acceptance trace (serve + vm + pnet +
 // sim categories in one file), and the Prometheus exposition.
 #include <atomic>
 #include <cctype>
@@ -489,8 +489,8 @@ class Consumer : public Module {
   Fifo<int>* in_;
 };
 
-// The PR's acceptance test: one trace file carries spans from the serve,
-// interp, pnet, and sim layers, written to disk and parsed back.
+// One trace file carries spans from the serve, vm, pnet, and sim layers,
+// written to disk and parsed back.
 TEST_F(TracerTest, CrossLayerTraceSpansAtLeastThreeLayers) {
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Start();
@@ -556,10 +556,8 @@ TEST_F(TracerTest, CrossLayerTraceSpansAtLeastThreeLayers) {
     }
   }
   EXPECT_TRUE(span_cats.count("serve")) << "missing serve-layer spans";
-  // Program queries run on the bytecode VM by default; the tree-walking
-  // interpreter only shows up for non-compilable programs.
-  EXPECT_TRUE(span_cats.count("vm") || span_cats.count("interp"))
-      << "missing program-evaluation spans";
+  // Program queries run on the bytecode VM.
+  EXPECT_TRUE(span_cats.count("vm")) << "missing program-evaluation spans";
   EXPECT_TRUE(span_cats.count("pnet")) << "missing pnet-layer spans";
   EXPECT_TRUE(span_cats.count("sim")) << "missing sim-layer spans";
   EXPECT_GE(span_cats.size(), 3u);
@@ -654,37 +652,26 @@ TEST(MetricsRegistry, CollectorsAppendAndUnregister) {
 }
 
 TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
-  // The interp/pnet instrumentation bumps process-wide counters even with
-  // tracing off; earlier tests in this binary (and this one's service run)
-  // have exercised both layers, so the families must exist by now.
+  // The VM/pnet instrumentation bumps process-wide counters even with
+  // tracing off, so the families must exist once each layer has run.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  // Force at least one evaluation through each layer first.
   serve::PredictRequest req;
   req.interface = "jpeg_decoder";
   req.function = "latency_jpeg_decode";
   req.attrs = {{"orig_size", 4096.0}, {"compress_rate", 0.5}};
-  {
-    // Default path: compiled bytecode VM.
-    serve::PredictionService service(InterfaceRegistry::Default(), {});
-    EXPECT_TRUE(service.Predict(req).ok());
-    serve::PredictRequest pnet;
-    pnet.interface = "jpeg_decoder";
-    pnet.representation = serve::Representation::kPnet;
-    pnet.entry_place = "hdr_in:1";
-    EXPECT_TRUE(service.Predict(pnet).ok());
-  }
-  // Compilation off: the tree-walking interpreter layer. Stays alive for
-  // the scrape below so its collector still contributes the serve families.
-  serve::ServiceOptions interp_options;
-  interp_options.enable_psc_compile = false;
-  serve::PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  EXPECT_TRUE(interp_service.Predict(req).ok());
+  // Stays alive for the scrape below so its collector still contributes
+  // the serve families.
+  serve::PredictionService service(InterfaceRegistry::Default(), {});
+  EXPECT_TRUE(service.Predict(req).ok());
+  serve::PredictRequest pnet;
+  pnet.interface = "jpeg_decoder";
+  pnet.representation = serve::Representation::kPnet;
+  pnet.entry_place = "hdr_in:1";
+  EXPECT_TRUE(service.Predict(pnet).ok());
 
   const std::string text = registry.RenderPrometheus();
   EXPECT_NE(text.find("perfiface_psc_vm_calls_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_psc_vm_steps_total"), std::string::npos);
-  EXPECT_NE(text.find("perfiface_interp_calls_total"), std::string::npos);
-  EXPECT_NE(text.find("perfiface_interp_steps_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_pnet_runs_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_pnet_firings_total"), std::string::npos);
   // The service's collector contributes its own families to the same scrape.

@@ -3,32 +3,37 @@
 #include <cmath>
 #include <memory>
 
-#include "src/perfscript/interp.h"
+#include "src/perfscript/compile.h"
 #include "src/perfscript/lexer.h"
 #include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 
 namespace perfiface {
 namespace {
 
-double EvalFn(const std::string& src, const std::string& fn, const std::vector<Value>& args,
-           const std::vector<std::pair<std::string, double>>& globals = {}) {
+// Parses, compiles (globals folded in as constants) and calls `fn` on the
+// bytecode Vm, the engine that serves interface programs.
+EvalResult Run(const std::string& src, const std::string& fn, const std::vector<Value>& args,
+               const std::vector<std::pair<std::string, double>>& globals = {}) {
   ParseResult parsed = ParseProgram(src);
   EXPECT_TRUE(parsed.ok) << parsed.error;
-  Interpreter interp(&parsed.program);
-  for (const auto& g : globals) {
-    interp.SetGlobal(g.first, g.second);
-  }
-  const EvalResult r = interp.Call(fn, args);
+  CompileProgramResult compiled = CompileProgram(parsed.program, globals);
+  EXPECT_TRUE(compiled.ok()) << compiled.error;
+  if (!compiled.ok()) return EvalResult{};
+  Vm vm(compiled.program);
+  return vm.Call(fn, args);
+}
+
+double EvalFn(const std::string& src, const std::string& fn, const std::vector<Value>& args,
+           const std::vector<std::pair<std::string, double>>& globals = {}) {
+  const EvalResult r = Run(src, fn, args, globals);
   EXPECT_TRUE(r.ok) << r.error;
   return r.value.num;
 }
 
 std::string RunExpectError(const std::string& src, const std::string& fn,
                            const std::vector<Value>& args) {
-  ParseResult parsed = ParseProgram(src);
-  EXPECT_TRUE(parsed.ok) << parsed.error;
-  Interpreter interp(&parsed.program);
-  const EvalResult r = interp.Call(fn, args);
+  const EvalResult r = Run(src, fn, args);
   EXPECT_FALSE(r.ok);
   return r.error;
 }
@@ -67,18 +72,18 @@ TEST(Parser, RejectsBadExpression) {
   EXPECT_FALSE(r.ok);
 }
 
-TEST(Interp, Arithmetic) {
+TEST(ProgramVm, Arithmetic) {
   EXPECT_DOUBLE_EQ(EvalFn("def f(x):\n return (x + 2) * 3 - 4 / 2\nend\n", "f",
                        {Value::Number(1)}),
                    7.0);
 }
 
-TEST(Interp, Precedence) {
+TEST(ProgramVm, Precedence) {
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return 2 + 3 * 4\nend\n", "f", {}), 14.0);
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return -2 * 3\nend\n", "f", {}), -6.0);
 }
 
-TEST(Interp, Builtins) {
+TEST(ProgramVm, Builtins) {
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return max(1, 5, 3)\nend\n", "f", {}), 5.0);
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return min(4, 2)\nend\n", "f", {}), 2.0);
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return ceil(1.2)\nend\n", "f", {}), 2.0);
@@ -87,7 +92,34 @@ TEST(Interp, Builtins) {
   EXPECT_DOUBLE_EQ(EvalFn("def f():\n return sqrt(9)\nend\n", "f", {}), 3.0);
 }
 
-TEST(Interp, IfElse) {
+// min/max order -0 below +0, whichever operand holds it and whether the
+// call is folded, fused with a constant or evaluated at run time.
+TEST(ProgramVm, MinMaxOrderSignedZeros) {
+  const std::string src =
+      "def mn(x, y):\n return min(x, y)\nend\n"
+      "def mx(x, y):\n return max(x, y)\nend\n"
+      "def mnc(x, y):\n return min(x, 0)\nend\n"
+      "def mxc(x, y):\n return max(x, -0)\nend\n"
+      "def clamp(x, y):\n return max(min(x, -0), 0)\nend\n"
+      "def folded_min(x, y):\n return min(-0, 0)\nend\n"
+      "def folded_max(x, y):\n return max(-0, 0)\nend\n";
+  struct Case {
+    const char* fn;
+    double x, y;
+    bool negative;  // expected sign of the zero result
+  };
+  for (const Case& c : {Case{"mn", -0.0, 0.0, true}, Case{"mn", 0.0, -0.0, true},
+                        Case{"mx", -0.0, 0.0, false}, Case{"mx", 0.0, -0.0, false},
+                        Case{"mnc", -0.0, 0.0, true}, Case{"mxc", 0.0, 0.0, false},
+                        Case{"clamp", 0.0, 0.0, false}, Case{"folded_min", 0.0, 0.0, true},
+                        Case{"folded_max", 0.0, 0.0, false}}) {
+    const double got = EvalFn(src, c.fn, {Value::Number(c.x), Value::Number(c.y)});
+    EXPECT_EQ(got, 0.0) << c.fn;
+    EXPECT_EQ(std::signbit(got), c.negative) << c.fn << " x=" << c.x;
+  }
+}
+
+TEST(ProgramVm, IfElse) {
   const std::string src =
       "def f(x):\n"
       " if x > 10:\n"
@@ -100,7 +132,7 @@ TEST(Interp, IfElse) {
   EXPECT_DOUBLE_EQ(EvalFn(src, "f", {Value::Number(9)}), 2.0);
 }
 
-TEST(Interp, LogicalShortCircuit) {
+TEST(ProgramVm, LogicalShortCircuit) {
   // `or` must not evaluate the rhs when lhs is true: rhs divides by zero.
   const std::string src =
       "def f(x):\n"
@@ -114,7 +146,7 @@ TEST(Interp, LogicalShortCircuit) {
   EXPECT_DOUBLE_EQ(EvalFn(src, "f", {Value::Number(-4)}), 0.0);
 }
 
-TEST(Interp, Recursion) {
+TEST(ProgramVm, Recursion) {
   const std::string src =
       "def fact(n):\n"
       " if n <= 1:\n"
@@ -125,13 +157,13 @@ TEST(Interp, Recursion) {
   EXPECT_DOUBLE_EQ(EvalFn(src, "fact", {Value::Number(6)}), 720.0);
 }
 
-TEST(Interp, Globals) {
+TEST(ProgramVm, Globals) {
   EXPECT_DOUBLE_EQ(
       EvalFn("def f():\n return avg_mem_latency * 2\nend\n", "f", {}, {{"avg_mem_latency", 60}}),
       120.0);
 }
 
-TEST(Interp, AugmentedAdd) {
+TEST(ProgramVm, AugmentedAdd) {
   const std::string src =
       "def f():\n"
       " cost = 1\n"
@@ -142,7 +174,7 @@ TEST(Interp, AugmentedAdd) {
   EXPECT_DOUBLE_EQ(EvalFn(src, "f", {}), 10.0);
 }
 
-TEST(Interp, RuntimeErrors) {
+TEST(ProgramVm, RuntimeErrors) {
   EXPECT_NE(RunExpectError("def f():\n return 1 / 0\nend\n", "f", {}).find("division"),
             std::string::npos);
   EXPECT_NE(RunExpectError("def f():\n return q\nend\n", "f", {}).find("undefined variable"),
@@ -151,13 +183,13 @@ TEST(Interp, RuntimeErrors) {
             std::string::npos);
 }
 
-TEST(Interp, RecursionDepthLimited) {
+TEST(ProgramVm, RecursionDepthLimited) {
   const std::string src = "def f(n):\n return f(n + 1)\nend\n";
   const std::string err = RunExpectError(src, "f", {Value::Number(0)});
   EXPECT_NE(err.find("recursion depth"), std::string::npos);
 }
 
-TEST(Interp, WrongArgumentCount) {
+TEST(ProgramVm, WrongArgumentCount) {
   EXPECT_NE(RunExpectError("def f(a, b):\n return a\nend\n", "f", {Value::Number(1)})
                 .find("expected 2 arguments"),
             std::string::npos);
@@ -184,22 +216,19 @@ class FakeNode : public ScriptObject {
   std::vector<std::unique_ptr<FakeNode>> children_;
 };
 
-TEST(Interp, AttributeAccess) {
+TEST(ProgramVm, AttributeAccess) {
   FakeNode node(42);
   EXPECT_DOUBLE_EQ(EvalFn("def f(n):\n return n.weight\nend\n", "f", {Value::Object(&node)}), 42.0);
 }
 
-TEST(Interp, UnknownAttributeFails) {
+TEST(ProgramVm, UnknownAttributeFails) {
   FakeNode node(1);
-  ParseResult parsed = ParseProgram("def f(n):\n return n.mass\nend\n");
-  ASSERT_TRUE(parsed.ok);
-  Interpreter interp(&parsed.program);
-  const EvalResult r = interp.Call("f", {Value::Object(&node)});
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("no attribute 'mass'"), std::string::npos);
+  EXPECT_NE(RunExpectError("def f(n):\n return n.mass\nend\n", "f", {Value::Object(&node)})
+                .find("no attribute 'mass'"),
+            std::string::npos);
 }
 
-TEST(Interp, ForIteratesChildrenRecursively) {
+TEST(ProgramVm, ForIteratesChildrenRecursively) {
   auto root = std::make_unique<FakeNode>(1);
   auto child1 = std::make_unique<FakeNode>(10);
   child1->Add(std::make_unique<FakeNode>(100));
@@ -217,31 +246,44 @@ TEST(Interp, ForIteratesChildrenRecursively) {
   EXPECT_DOUBLE_EQ(EvalFn(src, "total", {Value::Object(root.get())}), 131.0);
 }
 
-TEST(Interp, LenBuiltin) {
+TEST(ProgramVm, LenBuiltin) {
   FakeNode root(0);
   root.Add(std::make_unique<FakeNode>(1));
   root.Add(std::make_unique<FakeNode>(2));
   EXPECT_DOUBLE_EQ(EvalFn("def f(n):\n return len(n)\nend\n", "f", {Value::Object(&root)}), 2.0);
 }
 
-TEST(EvalExprWithVars, BindsVariables) {
-  ParseExprResult r = ParseExpression("ceil(x / 8) * (lat + 8) + 4");
-  ASSERT_TRUE(r.ok) << r.error;
-  const EvalResult v = EvalExprWithVars(*r.expr, [](std::string_view name) -> std::optional<double> {
-    if (name == "x") return 20.0;
-    if (name == "lat") return 52.0;
-    return std::nullopt;
-  });
-  ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_DOUBLE_EQ(v.value.num, 3 * 60 + 4);
+TEST(CompiledExpr, BindsVariables) {
+  std::string error;
+  const auto expr = CompiledExpr::CompileSource(
+      "ceil(x / 8) * (lat + 8) + 4",
+      [](std::string_view name) -> std::optional<ExprBinding> {
+        if (name == "x") return ExprBinding::Const(20.0);
+        if (name == "lat") return ExprBinding::Slot(0);
+        return std::nullopt;
+      },
+      &error);
+  ASSERT_NE(expr, nullptr) << error;
+  EXPECT_DOUBLE_EQ(expr->Eval([](std::uint32_t) { return 52.0; }), 3 * 60 + 4);
 }
 
-TEST(EvalExprWithVars, UnknownVariableFails) {
-  ParseExprResult r = ParseExpression("y + 1");
-  ASSERT_TRUE(r.ok);
-  const EvalResult v =
-      EvalExprWithVars(*r.expr, [](std::string_view) { return std::optional<double>(); });
-  EXPECT_FALSE(v.ok);
+TEST(CompiledExpr, UnknownVariableFails) {
+  std::string error;
+  const auto expr = CompiledExpr::CompileSource(
+      "y + 1", [](std::string_view) { return std::optional<ExprBinding>(); }, &error);
+  EXPECT_EQ(expr, nullptr);
+  EXPECT_NE(error.find("unknown variable 'y'"), std::string::npos) << error;
+}
+
+TEST(CompiledExpr, CheckedEvalReportsDivisionByZero) {
+  std::string error;
+  const auto expr = CompiledExpr::CompileSource(
+      "7 / a", [](std::string_view) { return std::optional<ExprBinding>(ExprBinding::Slot(0)); },
+      &error);
+  ASSERT_NE(expr, nullptr) << error;
+  const EvalResult r = expr->EvalChecked([](std::uint32_t) { return 0.0; });
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "line 1: division by zero");
 }
 
 }  // namespace

@@ -300,14 +300,16 @@ TEST_P(SmallVecProperty, MatchesReferenceVector) {
 INSTANTIATE_TEST_SUITE_P(RandomTapes, SmallVecProperty, ::testing::Range<std::uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------
-// Interpreter vs native mirrors over random workloads (Fig 2/3 semantics).
+// Compiled program vs native mirrors over random workloads (Fig 2/3
+// semantics).
 // ---------------------------------------------------------------------------
 
-class InterpreterAgreement : public ::testing::TestWithParam<std::uint64_t> {};
+class ProgramAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(InterpreterAgreement, ProtoaccProgramEqualsNative) {
+TEST_P(ProgramAgreement, ProtoaccProgramEqualsNative) {
   const InterfaceRegistry& reg = InterfaceRegistry::Default();
   const ProgramInterface iface = reg.LoadProgram("protoacc");
+  ASSERT_NE(iface.compiled(), nullptr);
   MessageShape shape;
   shape.max_depth = 1 + GetParam() % 4;
   const MessageInstance msg = GenerateMessage(shape, GetParam() * 1013);
@@ -318,7 +320,7 @@ TEST_P(InterpreterAgreement, ProtoaccProgramEqualsNative) {
               NativeProtoaccMaxLatency(msg, 60), 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomPrograms, InterpreterAgreement,
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, ProgramAgreement,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace

@@ -20,16 +20,16 @@
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
 #include "src/obs/metrics_registry.h"
-#include "src/perfscript/interp.h"
+#include "src/perfscript/compile.h"
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 #include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
 #include "src/serve/metrics.h"
-#include "src/serve/mpmc_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
 
@@ -120,6 +120,29 @@ TEST(CanonicalCacheKey, DefaultCountsAreMadeExplicit) {
             CanonicalCacheKey(three, Representation::kPnet));
 }
 
+// An empty entry spec means "first declared place, `tokens` copies"; the
+// spec ":N" names a place with an empty name and is invalid. Their keys
+// must differ, or a cached first-place answer would be served for the
+// invalid spec.
+TEST(CanonicalCacheKey, EmptyEntrySpecDoesNotAliasAnEmptyPlaceName) {
+  const PredictRequest first = PnetRequest("jpeg_decoder", "", 3);
+  const PredictRequest empty_name = PnetRequest("jpeg_decoder", ":3");
+  EXPECT_NE(CanonicalCacheKey(first, Representation::kPnet),
+            CanonicalCacheKey(empty_name, Representation::kPnet));
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 64;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  ASSERT_TRUE(service.Predict(first).ok());
+  for (int round = 0; round < 2; ++round) {
+    const PredictResponse r = service.Predict(empty_name);
+    EXPECT_EQ(r.status, PredictStatus::kNotFound) << round << ": " << r.error;
+    EXPECT_FALSE(r.cache_hit) << round;
+  }
+  EXPECT_TRUE(service.Predict(first).cache_hit);
+}
+
 TEST(CanonicalCacheKey, DistinguishesInjectionPlans) {
   const auto key = [](const std::string& entry_place) {
     return CanonicalCacheKey(PnetRequest("jpeg_decoder", entry_place), Representation::kPnet);
@@ -183,20 +206,6 @@ TEST(ShardedLruCache, DisabledCacheNeverHits) {
   CachedPrediction out;
   EXPECT_FALSE(cache.Get("a", &out));
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(BoundedQueue, CloseDrainsRemainingItems) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  q.Close();
-  EXPECT_FALSE(q.Push(3));
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.Pop(&v));
 }
 
 TEST(LatencyHistogram, PercentilesAreMonotone) {
@@ -431,50 +440,6 @@ TEST(PredictionService, RejectionsAndLookupFailuresDoNotSkewCacheCounters) {
   EXPECT_GE(service.metrics().rejected(), 1u);
 }
 
-TEST(PredictionService, CompiledAndInterpretedBackendsAgree) {
-  // The A/B knob behind serve_tool --no-compile: identical requests through
-  // a compiled-path service and a tree-walking service must produce
-  // bit-identical answers. Caching is off so every request actually
-  // evaluates.
-  ServiceOptions compiled_options;
-  compiled_options.num_workers = 2;
-  compiled_options.cache_capacity = 0;
-  ServiceOptions interp_options = compiled_options;
-  interp_options.enable_psc_compile = false;
-
-  std::vector<PredictRequest> requests;
-  for (int i = 0; i < 16; ++i) {
-    requests.push_back(JpegRequest(512.0 * (i + 1), 0.1 + 0.05 * i));
-    requests.push_back(ProtoaccRequest(4.0 + i, 2.0 + i, i % 5));
-  }
-  PredictRequest bad = JpegRequest(1024, 0.5);
-  bad.function = "no_such_function";
-  requests.push_back(bad);
-
-  obs::MetricsRegistry::Counter& vm_calls = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_calls_total", "Top-level PerfScript bytecode VM calls");
-
-  PredictionService compiled_service(InterfaceRegistry::Default(), compiled_options);
-  const std::uint64_t vm_calls_before = vm_calls.value();
-  const auto compiled_responses = compiled_service.PredictBatch(requests);
-  EXPECT_GE(vm_calls.value() - vm_calls_before, requests.size() - 1)
-      << "compiled service should answer program queries on the VM";
-
-  PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  const std::uint64_t vm_calls_mid = vm_calls.value();
-  const auto interp_responses = interp_service.PredictBatch(requests);
-  EXPECT_EQ(vm_calls.value(), vm_calls_mid)
-      << "interpreted service must not touch the VM";
-
-  ASSERT_EQ(compiled_responses.size(), interp_responses.size());
-  for (std::size_t i = 0; i < compiled_responses.size(); ++i) {
-    EXPECT_EQ(compiled_responses[i].status, interp_responses[i].status) << i;
-    EXPECT_EQ(compiled_responses[i].value, interp_responses[i].value) << i;
-    EXPECT_EQ(compiled_responses[i].throughput, interp_responses[i].throughput) << i;
-    EXPECT_EQ(compiled_responses[i].error, interp_responses[i].error) << i;
-  }
-}
-
 TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   ServiceOptions options;
   options.num_workers = 1;
@@ -485,20 +450,9 @@ TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   EXPECT_NE(prom.find("perfiface_serve_requests_total"), std::string::npos);
   EXPECT_NE(prom.find("interface=\"jpeg_decoder\""), std::string::npos);
   // ...and process-wide counters bumped by the layer below it (program
-  // queries run on the bytecode VM by default).
+  // queries run on the bytecode VM).
   EXPECT_NE(prom.find("perfiface_psc_vm_calls_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_psc_vm_steps_total"), std::string::npos);
-
-  // With compilation off, the same query tree-walks and the interpreter's
-  // families join the scrape.
-  ServiceOptions interp_options;
-  interp_options.num_workers = 1;
-  interp_options.enable_psc_compile = false;
-  PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  ASSERT_TRUE(interp_service.Predict(JpegRequest(2048, 0.25)).ok());
-  const std::string prom2 = interp_service.StatsPrometheus();
-  EXPECT_NE(prom2.find("perfiface_interp_calls_total"), std::string::npos);
-  EXPECT_NE(prom2.find("perfiface_interp_steps_total"), std::string::npos);
 }
 
 TEST(PredictionService, StatsDumpsMentionInterfaces) {
@@ -1347,8 +1301,10 @@ TEST(ShadowValidation, JpegBackendRefusesOutsideVocabulary) {
   EXPECT_TRUE(jpeg::JpegShadowTruth(single, &truth, &error)) << error;
 }
 
-// shared read-only — the documented thread-safety contract of interp.h.
-TEST(InterpreterConcurrency, StepBudgetExhaustsCleanlyAcrossThreads) {
+// Eight threads, one Vm each, over one shared CompiledProgram — the
+// thread-safety contract of vm.h: the bytecode is shared read-only, and a
+// Vm is never shared. Every thread must run out of budget cleanly.
+TEST(VmConcurrency, StepBudgetExhaustsCleanlyAcrossThreads) {
   ParseResult parsed = ParseProgram(
       "def burn(msg):\n"
       "  total = 0\n"
@@ -1360,7 +1316,9 @@ TEST(InterpreterConcurrency, StepBudgetExhaustsCleanlyAcrossThreads) {
       "  return total\n"
       "end\n");
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  const Program program = std::move(parsed.program);
+  CompileProgramResult compiled = CompileProgram(parsed.program, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  const std::shared_ptr<const CompiledProgram> program = compiled.program;
 
   KvObject workload;
   workload.Set("n", 1.0);
@@ -1370,10 +1328,10 @@ TEST(InterpreterConcurrency, StepBudgetExhaustsCleanlyAcrossThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&program, &workload, &bad] {
-      Interpreter interp(&program);
-      interp.set_max_steps(500);
-      const EvalResult result = interp.Call("burn", {Value::Object(&workload)});
-      if (result.ok || !interp.step_budget_exhausted() ||
+      Vm vm(program);
+      vm.set_max_steps(500);
+      const EvalResult result = vm.Call("burn", {Value::Object(&workload)});
+      if (result.ok || !vm.step_budget_exhausted() ||
           result.error.find("step budget exhausted") == std::string::npos) {
         bad.fetch_add(1);
       }
@@ -1847,6 +1805,27 @@ TEST(PredictionService, NonFiniteResultIsAnErrorAndNeverCached) {
   }
   EXPECT_EQ(service.metrics().cache_hits(), 0u);
   EXPECT_EQ(service.cache().size(), 0u);
+}
+
+// An interface driven outside its domain can compute a negative latency
+// (jpeg_fig2 at orig_size=-1). That is no prediction: it answers ERROR and
+// is never cached.
+TEST(PredictionService, NegativeResultIsAnErrorAndNeverCached) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 64;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  const PredictRequest req = JpegRequest(-1, 0.18);
+  for (int round = 0; round < 2; ++round) {
+    const PredictResponse r = service.Predict(req);
+    EXPECT_EQ(r.status, PredictStatus::kError) << round;
+    EXPECT_EQ(r.error, "negative result");
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.value, 0.0);
+  }
+  EXPECT_EQ(service.metrics().cache_hits(), 0u);
+  EXPECT_EQ(service.cache().size(), 0u);
+  EXPECT_TRUE(service.Predict(JpegRequest(65536, 0.18)).ok());
 }
 
 // A delay expression driven out of range by the workload (negative or NaN

@@ -1,8 +1,10 @@
-// Differential equivalence: the bytecode VM (src/perfscript/vm.h) must be
-// observably identical to the tree-walking interpreter — same results, same
-// error strings, same budget/depth behavior — over every program the
-// registry ships and over targeted edge-case programs. This is the contract
-// that lets src/serve switch evaluation backends without changing answers.
+// Differential equivalence: the bytecode VM (src/perfscript/vm.h), the only
+// engine that runs interface programs, must be observably identical to the
+// reference tree-walker (tests/interp_oracle.h) — same results, same error
+// strings, same depth behavior — over every program the registry ships and
+// over targeted edge-case programs. The tree-walker reads the language's
+// semantics straight off the AST, so agreement means the compiler's slot
+// resolution, constant folding and superinstructions changed no answer.
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -14,13 +16,17 @@
 
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
+#include "src/common/strings.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
+#include "src/perfscript/parser.h"
 #include "src/perfscript/vm.h"
+#include "tests/interp_oracle.h"
 
 namespace perfiface {
 namespace {
+
+using oracle::Interpreter;
 
 // Deterministic seed stream (SplitMix64): the fuzzed argument sets must be
 // identical on every run and platform.
@@ -125,9 +131,8 @@ struct Backends {
 
 constexpr int kSeedsPerFunction = 8;
 
-// Every program the registry ships must be inside the compilable subset —
-// a registry program falling back to the interpreter is a performance
-// regression the serve bench would silently absorb.
+// Every program the registry ships compiles at load (a program over a
+// bytecode limit would abort the load instead).
 TEST(VmDiff, EveryRegistryProgramCompiles) {
   const InterfaceRegistry& registry = InterfaceRegistry::Default();
   std::size_t programs = 0;
@@ -137,8 +142,7 @@ TEST(VmDiff, EveryRegistryProgramCompiles) {
     }
     ++programs;
     const ProgramInterface iface = registry.LoadProgram(bundle.accelerator);
-    EXPECT_NE(iface.compiled(), nullptr)
-        << bundle.accelerator << " no longer compiles: " << iface.compile_error();
+    EXPECT_NE(iface.compiled(), nullptr) << bundle.accelerator;
   }
   EXPECT_GT(programs, 0u) << "registry ships no executable interfaces?";
 }
@@ -224,10 +228,26 @@ TEST(VmDiff, EdgeCaseProgramsEquivalence) {
       "def f(w):\n  return w.x.y\nend\n",
       // Implicit return and bare-expression statements.
       "def f(w):\n  w.x + 1\nend\n",
+      // Maybe-assigned reads: assigned on one branch only, with and without
+      // a global of the same name to fall back to (`base` is one).
+      "def f(w):\n  if w.x > 0:\n    y = 2\n  end\n  return y\nend\n"
+      "def g(w):\n  if w.x > 0:\n    base = w.y\n  end\n  return base + 1\nend\n",
+      // '+=' to a maybe-assigned local, and a loop that reads a name it
+      // assigns later in its own body (unassigned on the first iteration).
+      "def f(w):\n  if w.y > 0:\n    n = 1\n  end\n  n += w.x\n  return n\nend\n"
+      "def g(w):\n  total = 0\n  for c in w:\n    if c.x > 0:\n      total += last\n"
+      "    end\n    last = c.y\n  end\n  return total\nend\n",
+      // The loop variable after a loop that may not have run, and a local
+      // assigned only in a loop body that shadows a global.
+      "def f(w):\n  for c in w:\n    k = c.x\n  end\n  return k + len(w)\nend\n"
+      "def g(w):\n  for c in w:\n    base = c.x\n  end\n  return base\nend\n"
+      "def h(w):\n  for c in w:\n    k = 1\n  end\n  return c\nend\n",
   };
   for (const char* source : kPrograms) {
-    const ProgramInterface iface = Compiled(source);
-    ASSERT_NE(iface.compiled(), nullptr) << iface.compile_error() << "\n" << source;
+    ProgramInterface iface = ProgramInterface::FromSource(source);
+    iface.SetConstant("base", 100.0);
+    iface.Compile();
+    ASSERT_NE(iface.compiled(), nullptr) << source;
     Backends backends(iface);
     const std::set<std::string> attr_names = {"x", "y"};
     for (const FunctionDef& fn : iface.program()->functions) {
@@ -242,28 +262,96 @@ TEST(VmDiff, EdgeCaseProgramsEquivalence) {
   }
 }
 
-// Programs outside the compilable subset must fall back transparently:
-// CompileProgram reports why, and ProgramInterface::Eval still answers
-// through the interpreter.
-TEST(VmDiff, FallbackProgramsStayCorrect) {
-  // `y` is only assigned on one branch, so its later read is
-  // maybe-assigned — the compiler refuses the whole program.
+// A variable assigned on only some paths compiles to a checked load: the
+// local if this run assigned it, else the global constant of that name,
+// else "undefined variable" on the reading line — on both branches, exactly
+// as the oracle resolves it.
+TEST(VmDiff, MaybeAssignedReadsCompileAndMatchTheOracle) {
   const std::string source =
       "def f(w):\n"
       "  if w.x > 0:\n"
       "    y = 2\n"
       "  end\n"
       "  return y\n"
+      "end\n"
+      "def g(w):\n"
+      "  if w.x > 0:\n"
+      "    y = 2\n"
+      "  end\n"
+      "  y += 1\n"
+      "  return y\n"
       "end\n";
-  ProgramInterface iface = ProgramInterface::FromSource(source);
-  iface.Compile();
-  EXPECT_EQ(iface.compiled(), nullptr);
-  EXPECT_NE(iface.compile_error().find("maybe-assigned"), std::string::npos)
-      << iface.compile_error();
+  for (const bool with_global : {false, true}) {
+    ProgramInterface iface = ProgramInterface::FromSource(source);
+    if (with_global) iface.SetConstant("y", 40.0);
+    iface.Compile();
+    ASSERT_NE(iface.compiled(), nullptr);
+    Backends backends(iface);
+    for (const double x : {3.0, -3.0}) {
+      KvObject workload;
+      workload.Set("x", x);
+      const std::vector<Value> args = {Value::Object(&workload)};
+      for (const char* fn : {"f", "g"}) {
+        ExpectSame(&backends.interp, &backends.vm, fn, args,
+                   StrFormat("%s x=%g global=%d", fn, x, with_global ? 1 : 0));
+      }
+      const EvalResult f = backends.vm.Call("f", args);
+      const EvalResult g = backends.vm.Call("g", args);
+      if (x > 0) {
+        EXPECT_EQ(f.Num(), 2.0);
+        EXPECT_EQ(g.Num(), 3.0);
+      } else {
+        // A read falls back to the global; '+=' never does.
+        if (with_global) {
+          EXPECT_EQ(f.Num(), 40.0);
+        } else {
+          EXPECT_EQ(f.error, "line 5: undefined variable 'y'");
+        }
+        EXPECT_EQ(g.error, "line 11: undefined variable 'y'");
+      }
+    }
+  }
+}
 
-  KvObject workload;
-  workload.Set("x", 3.0);
-  EXPECT_EQ(iface.Eval("f", workload), 2.0);
+// Flag registers are allocated only for names with a maybe-assigned read,
+// so the checked load costs nothing elsewhere.
+TEST(VmDiff, FlagRegistersOnlyForMaybeAssignedNames) {
+  ParseResult parsed = ParseProgram(
+      "def f(w):\n  a = w.x\n  if a > 0:\n    b = 1\n  end\n  return a + b\nend\n"
+      "def g(w):\n  a = w.x\n  return a\nend\n");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const CompileProgramResult compiled = CompileProgram(parsed.program, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  // f: w, a, b plus one flag for b; g: w, a only.
+  EXPECT_EQ(compiled.program->Find("f")->num_locals, 4u);
+  EXPECT_EQ(compiled.program->Find("g")->num_locals, 2u);
+}
+
+// Bytecode size limits are load errors that name the limit, like a syntax
+// error, not a silent change of engine.
+TEST(VmDiff, ProgramsOverABytecodeLimitAreRejectedAtLoad) {
+  std::string source = "def wide(w):\n";
+  for (int i = 0; i < 251; ++i) source += StrFormat("  v%d = %d\n", i, i);
+  source += "  return v0\nend\n";
+  ParseResult parsed = ParseProgram(source);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const CompileProgramResult compiled = CompileProgram(parsed.program, {});
+  EXPECT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.error, "wide: 252 locals exceed the limit of 250 registers");
+
+  std::string deep = "def deep(w):\n  return ";
+  for (int i = 0; i < 300; ++i) deep += "(w.x + ";
+  deep += "1";
+  for (int i = 0; i < 300; ++i) deep += ")";
+  deep += "\nend\n";
+  ParseResult parsed_deep = ParseProgram(deep);
+  ASSERT_TRUE(parsed_deep.ok) << parsed_deep.error;
+  const CompileProgramResult compiled_deep = CompileProgram(parsed_deep.program, {});
+  EXPECT_FALSE(compiled_deep.ok());
+  EXPECT_EQ(compiled_deep.error, "deep: needs more than 250 registers");
+
+  ProgramInterface iface = ProgramInterface::FromSource(source);
+  EXPECT_DEATH(iface.Compile(), "exceed the limit of 250 registers");
 }
 
 // Constants fold into the bytecode, so changing one must invalidate the
@@ -273,7 +361,7 @@ TEST(VmDiff, SetConstantInvalidatesCompiledForm) {
       ProgramInterface::FromSource("def f(w):\n  return base + w.x\nend\n");
   iface.SetConstant("base", 100.0);
   iface.Compile();
-  ASSERT_NE(iface.compiled(), nullptr) << iface.compile_error();
+  ASSERT_NE(iface.compiled(), nullptr);
 
   KvObject workload;
   workload.Set("x", 1.0);
@@ -281,6 +369,7 @@ TEST(VmDiff, SetConstantInvalidatesCompiledForm) {
 
   iface.SetConstant("base", 200.0);
   EXPECT_EQ(iface.compiled(), nullptr) << "stale bytecode with the old constant folded in";
+  // Eval compiles on the spot rather than running the stale form.
   EXPECT_EQ(iface.Eval("f", workload), 201.0);
   iface.Compile();
   ASSERT_NE(iface.compiled(), nullptr);
@@ -291,12 +380,12 @@ TEST(VmDiff, StepBudgetAndDepthLimitsMatch) {
   const ProgramInterface iface = Compiled(
       "def spin(w):\n  total = 0\n  for c in w:\n    total += c.x\n  end\n  return total\nend\n"
       "def deep(n):\n  if n <= 0:\n    return 0\n  end\n  return deep(n - 1) + 1\nend\n");
-  ASSERT_NE(iface.compiled(), nullptr) << iface.compile_error();
+  ASSERT_NE(iface.compiled(), nullptr);
 
-  // Step budget: the VM executes at most as many steps as the interpreter
-  // for the same call (folding removes work), so a budget the interpreter
-  // exhausts may still complete on the VM — but the VM must fail cleanly
-  // under a budget IT exhausts, with the interpreter's exact error string.
+  // Step budget: the VM counts bytecode instructions and the oracle AST
+  // nodes, so the two exhaust a budget at different points — but the VM
+  // must fail cleanly under a budget it exhausts, with the oracle's exact
+  // error string.
   KvObject big;
   big.Set("x", 1.0);
   big.AddUniformChildren(64);
@@ -346,7 +435,7 @@ TEST(VmDiff, DisassemblyShowsFoldedConstantsAndCalls) {
       ProgramInterface::FromSource("def f(w):\n  return w.x * (2 + 3) + base\nend\n");
   iface.SetConstant("base", 7.0);
   iface.Compile();
-  ASSERT_NE(iface.compiled(), nullptr) << iface.compile_error();
+  ASSERT_NE(iface.compiled(), nullptr);
   const std::string text = iface.compiled()->Disassemble();
   EXPECT_NE(text.find("function f"), std::string::npos) << text;
   // 2 + 3 folds at compile time; `base` folds to its constant value.

@@ -88,11 +88,7 @@ void DumpExprBytecode(const LoadedNet& loaded) {
         std::printf(" = %.17g", s.constant);
       }
       std::printf("\n");
-      if (compiled->has_reg_code()) {
-        std::fputs(compiled->DisassembleRegs().c_str(), stdout);
-      } else {
-        std::printf("    (stack form only)\n");
-      }
+      std::fputs(compiled->DisassembleRegs().c_str(), stdout);
     }
   }
 }

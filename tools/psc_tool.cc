@@ -7,8 +7,6 @@
 //       [--json]                                    machine-readable result
 //       [--trace out.json]                          Chrome trace of the call
 //       [--metrics]                                 Prometheus counters
-//       [--no-compile]                              tree-walk instead of the
-//                                                   bytecode VM (A/B)
 //       [--dump-bytecode]                           print the compiled
 //                                                   bytecode before the call
 //
@@ -32,7 +30,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
 #include "src/perfscript/vm.h"
@@ -44,7 +41,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: psc_tool <check|list> <file.psc>\n"
                "       psc_tool eval <file.psc> <function> [--const n=v ...] [--json]\n"
-               "                [--no-compile] [--dump-bytecode] [k=v ...]\n");
+               "                [--dump-bytecode] [k=v ...]\n");
   return 2;
 }
 
@@ -85,7 +82,6 @@ int CmdEval(const std::string& path, const std::string& function,
   int children = 0;
   bool json = false;
   bool metrics = false;
-  bool compile = true;
   bool dump_bytecode = false;
   std::string trace_path;
   std::size_t i = 0;
@@ -97,11 +93,6 @@ int CmdEval(const std::string& path, const std::string& function,
     }
     if (args[i] == "--metrics") {
       metrics = true;
-      ++i;
-      continue;
-    }
-    if (args[i] == "--no-compile") {
-      compile = false;
       ++i;
       continue;
     }
@@ -139,41 +130,22 @@ int CmdEval(const std::string& path, const std::string& function,
   }
   root.AddUniformChildren(children);
 
-  // Default path mirrors the serve workers: lower to bytecode (constants
-  // folded in) and run on the VM, tree-walking only when the program falls
-  // outside the compilable subset or --no-compile asks for the A/B.
-  std::shared_ptr<const CompiledProgram> compiled;
-  if (compile || dump_bytecode) {
-    CompileProgramResult compiled_result = CompileProgram(program, constants);
-    if (compiled_result.ok()) {
-      compiled = std::move(compiled_result.program);
-    } else if (compile) {
-      std::fprintf(stderr, "note: falling back to the interpreter (%s)\n",
-                   compiled_result.reason.c_str());
-    }
-    if (dump_bytecode) {
-      if (compiled == nullptr) {
-        std::fprintf(stderr, "cannot dump bytecode: %s\n", compiled_result.reason.c_str());
-        return 1;
-      }
-      std::fputs(compiled->Disassemble().c_str(), stdout);
-    }
+  // Same path as the serve workers: lower to bytecode (constants folded
+  // in) and run on the VM.
+  CompileProgramResult compiled = CompileProgram(program, constants);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile error: %s\n", compiled.error.c_str());
+    return 1;
+  }
+  if (dump_bytecode) {
+    std::fputs(compiled.program->Disassemble().c_str(), stdout);
   }
 
   if (!trace_path.empty()) {
     obs::Tracer::Global().Start();
   }
-  EvalResult result;
-  if (compile && compiled != nullptr) {
-    Vm vm(compiled);
-    result = vm.Call(function, {Value::Object(&root)});
-  } else {
-    Interpreter interp(&program);
-    for (const auto& c : constants) {
-      interp.SetGlobal(c.first, c.second);
-    }
-    result = interp.Call(function, {Value::Object(&root)});
-  }
+  Vm vm(compiled.program);
+  const EvalResult result = vm.Call(function, {Value::Object(&root)});
   if (!trace_path.empty()) {
     obs::Tracer::Global().Stop();
     if (!obs::Tracer::Global().WriteChromeJson(trace_path)) {
