@@ -23,7 +23,7 @@
 //      the memo itself is measured); target >= 2x
 //   4. async pipeline                 -> one client thread keeping >= 4
 //      batches in flight via SubmitBatch vs the same batches issued
-//      blocking; target qps >= blocking
+//      blocking, response cache off; target qps >= blocking
 //
 // PR 5 adds the row the network front end is judged by:
 //
@@ -39,15 +39,6 @@
 //      (that is the point), so the qps ratio quantifies the amortized
 //      price of continuous validation; the verdict also requires zero
 //      drift violations — the shipped calibration must pass its own check.
-//
-// PR 8 adds the row parametric memoization is judged by:
-//
-//   9. param memo sweep               -> jittered near-miss pnet queries
-//      (attributes cluster on Zipf-hot centers but never repeat exactly,
-//      so the exact memo table cannot hit), parametric store off vs on
-//      after an identical warmup; target >= 1.5x on mean latency AND zero
-//      gate-open probe predictions whose relative error against a
-//      param-off ground-truth run exceeds the serving residual bound
 //
 // The unified expression IR is judged by:
 //
@@ -100,7 +91,6 @@
 #include "src/net/server.h"
 #include "src/obs/trace.h"
 #include "src/petri/distill.h"
-#include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/serve/service.h"
 
@@ -262,33 +252,6 @@ std::vector<PredictRequest> BuildRepeatedStructurePopulation(std::size_t distinc
     req.entry_place = "hdr_in:1,vld_in:32";
     req.attrs = {{"bits", static_cast<double>(400 + 100 * (i % distinct))},
                  {"blocks", static_cast<double>(1 + i % 8)}};
-    population.push_back(std::move(req));
-  }
-  return population;
-}
-
-// Jittered near-miss population for the parametric-memoization sweep: the
-// same pnet structure as the repeated-structure sweep, but every request's
-// attributes are unique — popularity concentrates on a few hot
-// (bits, blocks) centers (Zipf over centers) while the exact bit counts
-// jitter per request, so the exact memo table never hits and only a fitted
-// delay curve can absorb the traffic. Centers sit in the writer-bound
-// regime (large bits), where quiescence is a smooth low-order function of
-// the attributes — the regime the fitter is built for.
-std::vector<PredictRequest> BuildNearMissPopulation(std::size_t count, std::size_t centers,
-                                                    std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  const ZipfSampler zipf(centers, 1.0);
-  std::vector<PredictRequest> population;
-  population.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t center = zipf.Sample(&rng);
-    PredictRequest req;
-    req.interface = "jpeg_decoder";
-    req.representation = Representation::kPnet;
-    req.entry_place = "hdr_in:1,vld_in:32";
-    req.attrs = {{"bits", static_cast<double>(40'000 + 2'500 * center + rng.NextBelow(2'000))},
-                 {"blocks", static_cast<double>(1 + center % 8)}};
     population.push_back(std::move(req));
   }
   return population;
@@ -787,6 +750,10 @@ int main(int argc, char** argv) {
   // Same pre-built batches both ways. Blocking submits then waits per
   // batch (the queue drains between round trips); the async client keeps a
   // window of kWindow batches in flight, which must at least match it.
+  // The response cache is off in both arms: hits resolve on the
+  // submitting thread and never reach the queue, so a cached mix would
+  // measure the client loop, not pipelining. Off, every request is queued
+  // work for the workers.
   const std::size_t kWindow = 8;
   const std::size_t kAsyncBatch = 32;
   const std::size_t kAsyncBatches = smoke ? 64 : 512;
@@ -811,7 +778,7 @@ int main(int argc, char** argv) {
     {
       ServiceOptions options;
       options.num_workers = 2;
-      options.cache_capacity = 2048;
+      options.cache_capacity = 0;
       options.batch_chunk = kAsyncBatch;
       PredictionService service(InterfaceRegistry::Default(), options);
       std::vector<std::vector<PredictRequest>> batches = build_async_batches();
@@ -829,7 +796,7 @@ int main(int argc, char** argv) {
     {
       ServiceOptions options;
       options.num_workers = 2;
-      options.cache_capacity = 2048;
+      options.cache_capacity = 0;
       options.batch_chunk = kAsyncBatch;
       PredictionService service(InterfaceRegistry::Default(), options);
       const AsyncResult r = DriveAsyncPipelined(&service, build_async_batches(), kWindow);
@@ -860,7 +827,8 @@ int main(int argc, char** argv) {
 
   // --- Sweep 6: loopback TCP vs in-process async ------------------------
   // The same pipelined batches as sweep 4, driven through the NDJSON
-  // server over 127.0.0.1. The in-process async row above is the ceiling;
+  // server over 127.0.0.1 with the same service options (response cache
+  // off). The in-process async row above is the ceiling;
   // the ratio is what the socket + JSON codec cost per query. Verdict "ok"
   // requires every response OK and the wire path within 2x of in-process
   // (loopback round trips dominate on small hosts, so the bar is lenient —
@@ -870,7 +838,7 @@ int main(int argc, char** argv) {
   for (int trial = 0; trial < 3; ++trial) {
     ServiceOptions options;
     options.num_workers = 2;
-    options.cache_capacity = 2048;
+    options.cache_capacity = 0;
     options.batch_chunk = kAsyncBatch;
     PredictionService service(InterfaceRegistry::Default(), options);
     net::NetServer server(&service);
@@ -997,96 +965,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shadow_violations),
       std::strcmp(shadow_verdict, "ok") == 0 ? "[ok]" : "[SHADOW ROW REGRESSED]");
 
-  // --- Sweep: parametric memoization on jittered near-miss traffic ------
-  // Every request's attributes are unique (the exact memo table cannot
-  // hit) but cluster on Zipf-hot centers — the traffic the parametric
-  // store turns into interpolated hits. Both configs pay the same warmup
-  // (which is also what fits the curves when the store is on); the timed
-  // region is fresh jitter from the same centers. The verdict demands
-  // >= 1.5x on mean latency AND zero gate-open probe predictions whose
-  // relative error against a param-off ground-truth run exceeds the
-  // serving residual bound — speed bought with silent inaccuracy is a
-  // regression here, not a win.
-  const std::size_t kParamCenters = 16;
-  const std::size_t kParamWarmup = smoke ? 768 : 4'096;
-  const std::size_t kParamQueries = smoke ? 1'500 : 20'000;
-  const std::size_t kParamProbes = 64;
-  const std::vector<PredictRequest> param_warmup =
-      BuildNearMissPopulation(kParamWarmup, kParamCenters, 0xbeef);
-  const std::vector<PredictRequest> param_timed =
-      BuildNearMissPopulation(kParamQueries, kParamCenters, 0xfade);
-  std::vector<PredictRequest> param_probes =
-      BuildNearMissPopulation(kParamProbes, kParamCenters, 0xd1ce);
-  for (PredictRequest& probe : param_probes) {
-    probe.explain = true;
-  }
-  double param_mean_off = 0;
-  double param_mean_on = 0;
-  double param_max_rel_err_bound = 0;
-  std::uint64_t param_hits_total = 0;
-  std::size_t probe_gate_open = 0;
-  std::size_t probe_violations = 0;
-  std::vector<double> probe_truth(kParamProbes, 0);
-  for (const bool param : {false, true}) {
-    PnetMemoTable::Global().Clear();
-    ParamModelStore::Global().Clear();
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_capacity = 0;
-    options.enable_param_memo = param;
-    PredictionService service(InterfaceRegistry::Default(), options);
-    (void)DriveMeanLatencyUs(&service, param_warmup, kParamWarmup, kBatch);
-    const double mean_us = DriveMeanLatencyUs(&service, param_timed, kParamQueries, kBatch);
-    const std::vector<PredictResponse> probe_responses = service.PredictBatch(param_probes);
-    if (param) {
-      param_mean_on = mean_us;
-      param_max_rel_err_bound = options.param_memo_max_rel_err;
-      param_hits_total = ParamModelStore::Global().hits();
-      for (std::size_t i = 0; i < probe_responses.size(); ++i) {
-        const PredictResponse& r = probe_responses[i];
-        PI_CHECK_MSG(r.ok(), r.error.c_str());
-        if (r.explain.param_hits == 0) {
-          continue;  // gate closed: bit-identical simulation, nothing to audit
-        }
-        ++probe_gate_open;
-        const double truth = probe_truth[i];
-        const double rel = truth != 0 ? std::fabs(r.value - truth) / std::fabs(truth) : 0;
-        if (rel > options.param_memo_max_rel_err) {
-          ++probe_violations;
-        }
-      }
-    } else {
-      param_mean_off = mean_us;
-      // The param-off pass is ground truth for the probe audit: pure
-      // simulation (unique attrs, so even the exact memo stays cold).
-      for (std::size_t i = 0; i < probe_responses.size(); ++i) {
-        PI_CHECK_MSG(probe_responses[i].ok(), probe_responses[i].error.c_str());
-        probe_truth[i] = probe_responses[i].value;
-      }
-    }
-  }
-  const double param_speedup = param_mean_on > 0 ? param_mean_off / param_mean_on : 0;
-  const char* param_verdict =
-      param_hits_total == 0
-          ? "fitter_never_served"
-          : (probe_violations != 0
-                 ? "gate_open_residual_violations"
-                 : (param_speedup >= 1.5 ? "ok" : "below_1p5x_target"));
-  std::printf(
-      "\nparametric memo sweep (%zu hot centers, %zu jittered queries, cache off, exact memo "
-      "cold):\n"
-      "  param off %.2f us/query, param on %.2f us/query -> %.2fx, %llu param hits, "
-      "probes %zu gate-open / %zu over bound %.3g  %s\n",
-      kParamCenters, kParamQueries, param_mean_off, param_mean_on, param_speedup,
-      static_cast<unsigned long long>(param_hits_total), probe_gate_open, probe_violations,
-      param_max_rel_err_bound,
-      std::strcmp(param_verdict, "ok") == 0 ? "[ok: >= 1.5x, 0 violations]"
-                                            : "[PARAM ROW REGRESSED]");
-
   // --- Sweep: derived closed-form interfaces, deterministic-path pnet ---
   // Unique-attr jpeg pnet queries inside the distilled model's probe hull:
-  // the exact memo table cannot hit (no attrs repeat) and the parametric
-  // store is off, so derived-off pays a full simulation per query while
+  // the exact memo table cannot hit (no attrs repeat), so derived-off pays
+  // a full simulation per query while
   // derived-on serves every one from the closed form distilled on the
   // first miss. The verdict demands >= 5x on mean latency AND
   // bit-identical values on an audited probe set — the distiller's
@@ -1112,7 +994,6 @@ int main(int argc, char** argv) {
   std::vector<double> derived_truth(kDerivedProbes, 0);
   for (const bool derived : {false, true}) {
     PnetMemoTable::Global().Clear();
-    ParamModelStore::Global().Clear();
     DerivedStore::Global().Clear();
     ServiceOptions options;
     options.num_workers = 2;
@@ -1462,14 +1343,6 @@ int main(int argc, char** argv) {
       kShadowDistinct, kShadowQueries, shadow_qps_off, shadow_qps_on, shadow_ratio,
       static_cast<unsigned long long>(shadow_runs),
       static_cast<unsigned long long>(shadow_violations), shadow_verdict);
-  json += StrFormat(
-      "  \"param_memo_sweep\": {\"centers\": %zu, \"warmup\": %zu, \"queries\": %zu, "
-      "\"mean_us_param_off\": %.2f, \"mean_us_param_on\": %.2f, \"speedup\": %.3f, "
-      "\"param_hits\": %llu, \"probe_gate_open\": %zu, \"probe_violations\": %zu, "
-      "\"max_rel_err_bound\": %.4f, \"verdict\": \"%s\"},\n",
-      kParamCenters, kParamWarmup, kParamQueries, param_mean_off, param_mean_on, param_speedup,
-      static_cast<unsigned long long>(param_hits_total), probe_gate_open, probe_violations,
-      param_max_rel_err_bound, param_verdict);
   json += StrFormat(
       "  \"derived_iface_sweep\": {\"queries\": %zu, \"mean_us_derived_off\": %.2f, "
       "\"mean_us_derived_on\": %.2f, \"speedup\": %.3f, \"derived_hits\": %llu, "

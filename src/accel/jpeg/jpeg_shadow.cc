@@ -1,11 +1,9 @@
 #include "src/accel/jpeg/jpeg_shadow.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/accel/jpeg/codec.h"
@@ -118,35 +116,27 @@ bool ProgramTruth(const serve::PredictRequest& request, double* truth, std::stri
 // when the token stream is one SplitIntoStripes could have produced: full
 // 8-block stripes (any N), or a single trailing partial stripe.
 bool PnetTruth(const serve::PredictRequest& request, double* truth, std::string* error) {
-  if (request.entry_place.empty()) {
+  // The service's own plan parser, so the replay reads the plan exactly as
+  // the evaluation did (duplicate places already merged).
+  const serve::EntryPlan plan = serve::ParseEntryPlan(request);
+  if (plan.first_place) {
     // The default plan injects `tokens` copies into the first declared
     // place (hdr_in): several header tokens and no stripes is not an image.
     *error = "jpeg shadow: default-entry pnet queries are not replayable";
     return false;
   }
+  if (!plan.malformed.empty()) {
+    *error = StrFormat("jpeg shadow: bad entry place item '%s'", plan.malformed.front().c_str());
+    return false;
+  }
   std::uint64_t hdr_tokens = 0;
   std::uint64_t vld_tokens = 0;
-  for (std::string item : SplitString(request.entry_place, ',')) {
-    // Whitespace-insensitive, same as the service's own plan parser.
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char ch) { return std::isspace(ch) != 0; }),
-               item.end());
-    std::string name = item;
-    std::uint64_t count = std::max(1, request.tokens);
-    const std::size_t colon = item.find(':');
-    if (colon != std::string::npos) {
-      name = item.substr(0, colon);
-      const long long parsed = std::atoll(item.c_str() + colon + 1);
-      if (parsed < 1) {
-        *error = StrFormat("jpeg shadow: bad entry place item '%s'", item.c_str());
-        return false;
-      }
-      count = static_cast<std::uint64_t>(parsed);
-    }
+  for (const auto& [name, count] : plan.items) {
+    // Counts are positive: non-positive ones are malformed.
     if (name == "hdr_in") {
-      hdr_tokens += count;
+      hdr_tokens = static_cast<std::uint64_t>(count);
     } else if (name == "vld_in") {
-      vld_tokens += count;
+      vld_tokens = static_cast<std::uint64_t>(count);
     } else {
       *error = StrFormat("jpeg shadow: injection into '%s' is not replayable", name.c_str());
       return false;

@@ -8,9 +8,7 @@
 // (src/accel/jpeg/decoder_sim.h) can then decode for ground truth. The
 // sim runs with the same default timing and seed the calibration suite
 // (tests/accuracy_test.cc) uses, so drift detected here is interface
-// drift — the same contract conv_shadow.h establishes for conv. With the
-// parametric memo tier serving interpolated pnet answers, this backend is
-// what keeps jpeg's fitted curves honest at runtime.
+// drift — the same contract conv_shadow.h establishes for conv.
 #ifndef SRC_ACCEL_JPEG_JPEG_SHADOW_H_
 #define SRC_ACCEL_JPEG_JPEG_SHADOW_H_
 

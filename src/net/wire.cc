@@ -702,7 +702,6 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
         {",\"queue_wait_ns\":", ex.queue_wait_ns}, {",\"eval_ns\":", ex.eval_ns},
         {",\"steps\":", ex.steps},                 {",\"memo_components\":", ex.memo_components},
         {",\"memo_hits\":", ex.memo_hits},         {",\"derived_hits\":", ex.derived_hits},
-        {",\"param_hits\":", ex.param_hits},
     };
     for (const auto& [field, value] : counts) {
       *out += field;
@@ -826,9 +825,6 @@ bool DecodeResponseLine(std::string_view line, WireResponse* out, std::string* e
     }
     if (const JsonValue* v = explain->Find("derived_hits"); v != nullptr) {
       RawToUint64(*v, &ex.derived_hits);
-    }
-    if (const JsonValue* v = explain->Find("param_hits"); v != nullptr) {
-      RawToUint64(*v, &ex.param_hits);
     }
     if (const JsonValue* v = explain->Find("deadline_limited");
         v != nullptr && v->kind == JsonValue::Kind::kBool) {

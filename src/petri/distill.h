@@ -29,11 +29,10 @@
 //     quiesce times are integers, that makes the rounded model *exact* at
 //     every probe point.
 //
-// Serving is hull-gated like the parametric tier (src/petri/param_model.h):
-// a query outside the probed per-attribute range is refused, and refusal
-// always falls back to bit-identical simulation. Unlike the parametric
-// tier the model is not a statistical fit over observed traffic: it is a
-// closed form over the same compiled expressions the simulator would have
+// Serving is hull-gated: a query outside the probed per-attribute range is
+// refused, and refusal always falls back to bit-identical simulation. The
+// model is not a statistical fit over observed traffic: it is a closed
+// form over the same compiled expressions the simulator would have
 // evaluated, derived once per (component hash, injection plan) and also
 // rendered as a PerfScript program (ProgramText) — the distilled
 // human-readable interface.
@@ -85,9 +84,9 @@ class DerivedStore {
   DerivedStore(const DerivedStore&) = delete;
   DerivedStore& operator=(const DerivedStore&) = delete;
 
-  // Model key: component structural hash + canonical injection plan — the
-  // same identity the parametric store uses (the attributes are the
-  // model's inputs, not its identity). Empty if the net is unhashable.
+  // Model key: component structural hash + canonical injection plan (the
+  // attributes are the model's inputs, not its identity). Empty if the net
+  // is unhashable.
   static std::string Key(const CompiledNet& net, std::size_t component,
                          const std::vector<std::pair<PlaceId, int>>& injections);
 
@@ -103,8 +102,8 @@ class DerivedStore {
 
   // Serves the closed form. kHit fills *out and bumps
   // perfiface_derived_hits_total; every other outcome means the caller
-  // must fall back (simulate / lower tier), which is always bit-identical
-  // to this tier being off.
+  // must fall back to simulation, which is always bit-identical to this
+  // tier being off.
   Outcome Predict(const std::string& key, const Token& token, std::uint64_t budget,
                   DerivedPrediction* out);
 

@@ -62,8 +62,8 @@ class PnetMemoTable {
 
   // The key's injection-plan section alone: the plan restricted to
   // `component`, as sorted, duplicate-merged "\x1f@local:count" items.
-  // Shared with the parametric model store (src/petri/param_model.h),
-  // whose model identity is exactly this key minus the attributes.
+  // Shared with the derived store (src/petri/distill.h), whose model
+  // identity is exactly this key minus the attributes.
   static void AppendCanonicalPlan(const CompiledNet& net, std::size_t component,
                                   const std::vector<std::pair<PlaceId, int>>& injections,
                                   std::string* key);

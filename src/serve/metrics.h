@@ -56,10 +56,8 @@ struct InterfaceMetrics {
   LatencyHistogram latency;                  // end-to-end service-side time
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
-  // Pnet components this interface served from the parametric model
-  // (src/petri/param_model.h); feeds the /statusz per-interface summary.
-  std::atomic<std::uint64_t> param_hits{0};
-  // Pnet components served from distilled closed forms (src/petri/distill.h).
+  // Pnet components served from distilled closed forms (src/petri/distill.h);
+  // feeds the /statusz per-interface summary.
   std::atomic<std::uint64_t> derived_hits{0};
 };
 
@@ -87,11 +85,6 @@ class ServiceMetrics {
 
   void RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok);
   void RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected);
-  void RecordParamHits(std::size_t iface_idx, std::uint64_t hits) {
-    if (hits != 0 && iface_idx < per_interface_.size()) {
-      per_interface_[iface_idx]->param_hits.fetch_add(hits, std::memory_order_relaxed);
-    }
-  }
   void RecordDerivedHits(std::size_t iface_idx, std::uint64_t hits) {
     if (hits != 0 && iface_idx < per_interface_.size()) {
       per_interface_[iface_idx]->derived_hits.fetch_add(hits, std::memory_order_relaxed);

@@ -25,87 +25,36 @@ void AppendInt(std::string* out, long long v) {
   out->append(buf, r.ptr);
 }
 
-// Canonical form of an entry-place spec: whitespace stripped, every item's
-// token count made explicit (items without ":count" inject `default_count`
-// copies), duplicate places merged by summing, items sorted by place name.
-// "vld_in ,hdr_in:1" with tokens=8 and "hdr_in:1,vld_in:4,vld_in:4" thus
-// canonicalize identically — they inject the same marking, so they must
-// share a cache entry. Malformed counts are kept verbatim (minus
-// whitespace): the service rejects them, and distinct garbage must not
-// alias.
-// Appended to *out; built on every cache probe, so it splits in place and
-// formats without printf (short place names stay in the strings' inline
-// buffers).
-void AppendCanonicalEntryPlace(std::string_view spec, int default_count, std::string* out) {
-  std::vector<std::pair<std::string, long long>> items;
-  std::vector<std::string> malformed;
-  for (std::size_t begin = 0; begin <= spec.size();) {
-    std::size_t comma = spec.find(',', begin);
-    if (comma == std::string_view::npos) {
-      comma = spec.size();
-    }
-    // Whitespace is insignificant anywhere in an item ("vld_in : 8"):
-    // place names are identifiers, so dropping every space cannot merge
-    // names.
-    std::string item;
-    for (const char c : spec.substr(begin, comma - begin)) {
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-        item.push_back(c);
-      }
-    }
-    begin = comma + 1;
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      items.emplace_back(std::move(item), default_count);
-      continue;
-    }
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
-    // An overflowing count must stay malformed-verbatim: strtoll clamps to
-    // LLONG_MAX on ERANGE, so without the errno check every overflowing
-    // spec would alias to one "p:9223372036854775807" key — exactly the
-    // aliasing the contract above forbids.
-    if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1) {
-      malformed.push_back(std::move(item));
-      continue;
-    }
-    item.resize(colon);
-    items.emplace_back(std::move(item), parsed);
-  }
-  std::sort(items.begin(), items.end());
-  std::sort(malformed.begin(), malformed.end());
-
+// Canonical form of a parsed spec: "place:count" items, then malformed
+// items as "!item". "vld_in ,hdr_in:1" with tokens=8 and
+// "hdr_in:1,vld_in:4,vld_in:4" thus canonicalize identically — they
+// inject the same marking, so they must share a cache entry. Built on
+// every cache probe, so it formats without printf.
+void AppendCanonicalEntryPlace(const EntryPlan& plan, std::string* out) {
   const std::size_t start = out->size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0 && items[i].first == items[i - 1].first) {
-      continue;
-    }
-    long long count = items[i].second;
-    for (std::size_t j = i + 1; j < items.size() && items[j].first == items[i].first; ++j) {
-      // Saturate the duplicate merge: two near-LLONG_MAX counts must key as
-      // "as many as representable", not wrap to a negative count (signed
-      // overflow is UB besides producing a nonsense key).
-      if (count > std::numeric_limits<long long>::max() - items[j].second) {
-        count = std::numeric_limits<long long>::max();
-      } else {
-        count += items[j].second;
-      }
-    }
+  for (const auto& [place, count] : plan.items) {
     if (out->size() != start) {
       out->push_back(',');
     }
-    *out += items[i].first;
+    *out += place;
     out->push_back(':');
     AppendInt(out, count);
   }
-  for (const std::string& item : malformed) {
+  for (const std::string& item : plan.malformed) {
     if (out->size() != start) {
       out->push_back(',');
     }
     out->push_back('!');
     *out += item;
   }
+}
+
+// Saturating add: two near-LLONG_MAX counts must total "as many as
+// representable", not wrap (signed overflow is UB besides producing a
+// nonsense key or a negative plan).
+long long SaturatingAdd(long long a, long long b) {
+  return a > std::numeric_limits<long long>::max() - b ? std::numeric_limits<long long>::max()
+                                                       : a + b;
 }
 
 // splitmix64: cheap, well-mixed 64-bit permutation.
@@ -157,6 +106,67 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out) {
   return false;
 }
 
+EntryPlan ParseEntryPlan(const PredictRequest& req) {
+  EntryPlan plan;
+  const long long default_count = std::max(1, req.tokens);
+  const std::string_view spec = req.entry_place;
+  if (spec.empty()) {
+    plan.first_place = true;
+    plan.total_tokens = default_count;
+    return plan;
+  }
+  for (std::size_t begin = 0; begin <= spec.size();) {
+    std::size_t comma = spec.find(',', begin);
+    if (comma == std::string_view::npos) {
+      comma = spec.size();
+    }
+    std::string item;
+    for (const char c : spec.substr(begin, comma - begin)) {
+      if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+        item.push_back(c);
+      }
+    }
+    begin = comma + 1;
+    const std::size_t colon = item.find(':');
+    if (colon == std::string::npos) {
+      plan.items.emplace_back(std::move(item), default_count);
+      continue;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
+    // An overflowing count is malformed: strtoll clamps to LLONG_MAX on
+    // ERANGE, so without the errno check every overflowing spec would
+    // alias to one "p:9223372036854775807" key.
+    if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1) {
+      plan.malformed.push_back(std::move(item));
+      continue;
+    }
+    item.resize(colon);
+    plan.items.emplace_back(std::move(item), parsed);
+  }
+  std::sort(plan.items.begin(), plan.items.end());
+  std::sort(plan.malformed.begin(), plan.malformed.end());
+  // Merge duplicate places: the same place listed twice injects the sum.
+  std::size_t merged = 0;
+  for (std::size_t i = 0; i < plan.items.size(); ++i) {
+    if (merged > 0 && plan.items[merged - 1].first == plan.items[i].first) {
+      plan.items[merged - 1].second =
+          SaturatingAdd(plan.items[merged - 1].second, plan.items[i].second);
+    } else {
+      if (merged != i) {
+        plan.items[merged] = std::move(plan.items[i]);
+      }
+      ++merged;
+    }
+  }
+  plan.items.resize(merged);
+  for (const auto& item : plan.items) {
+    plan.total_tokens = SaturatingAdd(plan.total_tokens, item.second);
+  }
+  return plan;
+}
+
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved) {
   PI_CHECK(resolved != Representation::kAuto);
   std::string key;
@@ -168,19 +178,18 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   if (resolved == Representation::kProgram) {
     key += req.function;
   } else {
-    const int default_count = std::max(1, req.tokens);
-    if (req.entry_place.empty()) {
+    const EntryPlan plan = ParseEntryPlan(req);
+    if (plan.first_place) {
       // Empty spec means "first declared place, `tokens` copies" — the
-      // count is the only degree of freedom left. Keyed before
-      // canonicalizing: the canonical form of "" is ":N", which is also
-      // the key of the invalid spec ":N".
+      // count is the only degree of freedom left. Its own tag: the spec
+      // ":N" names an empty place, which is a different (invalid) query.
       key += "@first:";
-      AppendInt(&key, default_count);
+      AppendInt(&key, plan.total_tokens);
     } else {
       // Every count is explicit in the canonical spec, so the `tokens`
       // field no longer matters: "vld_in" with tokens=8 and "vld_in:8"
       // with tokens=1 are the same query.
-      AppendCanonicalEntryPlace(req.entry_place, default_count, &key);
+      AppendCanonicalEntryPlace(plan, &key);
     }
   }
   key += "\x1f" "c";

@@ -96,10 +96,8 @@ struct ExplainInfo {
   // Which machinery produced the value: "psc-vm", "pnet",
   // "pnet-memo" (every component answered from the memo table),
   // "pnet-derived" (no simulation; at least one component served from a
-  // distilled closed-form interface, src/petri/distill.h),
-  // "pnet-param" (no simulation; at least one component interpolated from
-  // the fitted parametric model), or "cache" (served from the prediction
-  // cache without evaluating).
+  // distilled closed-form interface, src/petri/distill.h), or "cache"
+  // (served from the prediction cache without evaluating).
   std::string representation;
   // Prediction-cache outcome: "hit", "miss", or "not_consulted" (cache
   // disabled or the request never reached lookup).
@@ -116,10 +114,8 @@ struct ExplainInfo {
   // interfaces"). representation reads "pnet-derived" when no component
   // had to simulate and at least one came from a closed form.
   std::uint64_t derived_hits = 0;
-  // Components served by the parametric model on an exact-memo miss
-  // (docs/serving.md "Parametric memoization"). representation reads
-  // "pnet-param" when no component had to simulate and at least one was
-  // interpolated.
+  // Always 0 (there is no fitted pnet tier); kept because perfbench's
+  // load generator still reads it.
   std::uint64_t param_hits = 0;
   // The step budget came from deadline_us rather than max_steps.
   bool deadline_limited = false;
@@ -161,11 +157,44 @@ struct PredictResponse {
 // clock and pid at first use so concurrent processes don't collide.
 std::string GenerateTraceId();
 
+// Upper bound on the tokens one pnet request injects, summed over its
+// injection plan. Every injected token costs the simulator memory (about
+// 95 bytes), and the wire accepts counts up to INT_MAX per item, so
+// without a bound one request could demand tens of gigabytes. Shipped,
+// tested and benchmarked plans inject at most 257.
+inline constexpr long long kMaxInjectedTokens = 65'536;
+
+// A pnet request's injection plan: its entry_place spec read by the one
+// parser of that grammar. The cache key and the evaluator both build on
+// it, so the evaluator accepts exactly the specs the cache can answer.
+//
+// Grammar: comma-separated `place[:count]` items. Whitespace is
+// insignificant anywhere (place names are identifiers, so dropping it
+// cannot merge names). An item without `:count` injects
+// max(1, PredictRequest::tokens) copies. An empty spec injects that many
+// into the net's first declared place.
+struct EntryPlan {
+  bool first_place = false;  // empty spec; total_tokens go to place 0
+  // Well-formed items, sorted by place name, duplicates merged by summing
+  // their counts (saturating at LLONG_MAX).
+  std::vector<std::pair<std::string, long long>> items;
+  // Items whose count is not a positive decimal integer, whitespace
+  // stripped and sorted. The evaluator rejects them; the cache key keeps
+  // them verbatim so distinct garbage never aliases.
+  std::vector<std::string> malformed;
+  // Tokens the plan injects (saturating at LLONG_MAX); compare against
+  // kMaxInjectedTokens before injecting anything.
+  long long total_tokens = 0;
+};
+
+EntryPlan ParseEntryPlan(const PredictRequest& req);
+
 // Canonical cache key: representation-resolved, attribute order and float
-// formatting normalized, and the entry-place spec canonicalized (whitespace
-// stripped, default counts made explicit, items sorted, duplicates merged),
-// so permuted but identical queries share an entry. `resolved` must be
-// kProgram or kPnet (kAuto is resolved by the service before keying).
+// formatting normalized, and the entry-place spec canonicalized through
+// ParseEntryPlan (default counts made explicit, items sorted, duplicates
+// merged), so permuted but identical queries share an entry. `resolved`
+// must be kProgram or kPnet (kAuto is resolved by the service before
+// keying).
 // Resource limits are deliberately excluded: the cache stores ground-truth
 // predictions, and limits only bound *evaluation* cost.
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved);

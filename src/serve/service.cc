@@ -1,10 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "src/common/check.h"
@@ -15,7 +12,6 @@
 #include "src/obs/trace.h"
 #include "src/perfscript/kv_object.h"
 #include "src/petri/distill.h"
-#include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 
@@ -102,15 +98,6 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
       entry.pnet = LoadPnetFile(bundle.pnet_path);
       PI_CHECK_MSG(entry.pnet.ok(), entry.pnet.error.c_str());
       entry.compiled = std::make_unique<CompiledNet>(entry.pnet.net.get());
-      const std::vector<std::string>& attr_names = entry.pnet.net->attr_names();
-      entry.attr_order.resize(attr_names.size());
-      for (std::size_t slot = 0; slot < entry.attr_order.size(); ++slot) {
-        entry.attr_order[slot] = slot;
-      }
-      std::sort(entry.attr_order.begin(), entry.attr_order.end(),
-                [&attr_names](std::size_t a, std::size_t b) {
-                  return attr_names[a] < attr_names[b];
-                });
     }
     names.push_back(entry.name);
     entries_.push_back(std::move(entry));
@@ -189,14 +176,12 @@ std::string PredictionService::StatuszJson() const {
   out += "\"build\":" + obs::BuildInfoJson() + ",";
   out += StrFormat(
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
-      "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,\"param_memo\":%s,"
-      "\"param_memo_min_samples\":%zu,\"param_memo_max_rel_err\":%.9g,\"derived\":%s,"
+      "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,\"derived\":%s,"
       "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
       "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g,\"span_ring\":%s},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
       options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
-      options_.enable_param_memo ? "true" : "false", options_.param_memo_min_samples,
-      options_.param_memo_max_rel_err, options_.enable_derived ? "true" : "false",
+      options_.enable_derived ? "true" : "false",
       static_cast<unsigned long long>(options_.default_max_steps),
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
@@ -247,8 +232,8 @@ std::string PredictionService::StatuszJson() const {
     }
     out += "]},";
   }
-  // Memo-vs-param attribution: occupancy/eviction pressure on the exact
-  // table next to the parametric store's fit/hit/refusal totals.
+  // Tier attribution: occupancy/eviction pressure on the exact table next
+  // to the derived store's distill/hit/refusal totals.
   const PnetMemoTable& memo = PnetMemoTable::Global();
   out += StrFormat(
       "\"pnet_memo\":{\"entries\":%zu,\"capacity\":%zu,\"hits\":%llu,\"misses\":%llu,"
@@ -256,7 +241,6 @@ std::string PredictionService::StatuszJson() const {
       memo.size(), memo.capacity(), static_cast<unsigned long long>(memo.hits()),
       static_cast<unsigned long long>(memo.misses()),
       static_cast<unsigned long long>(memo.evictions()));
-  out += "\"param_store\":" + ParamModelStore::Global().SummaryJson() + ",";
   out += "\"derived_store\":" + DerivedStore::Global().SummaryJson() + ",";
   out += "\"interfaces\":[";
   const auto& rows = metrics_->interfaces();
@@ -268,14 +252,12 @@ std::string PredictionService::StatuszJson() const {
     }
     out += StrFormat(
         "{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,\"qps\":%.2f,"
-        "\"p50_us\":%.2f,\"p99_us\":%.2f,\"derived_hits\":%llu,\"param_hits\":%llu,"
-        "\"shadow\":%s}",
+        "\"p50_us\":%.2f,\"p99_us\":%.2f,\"derived_hits\":%llu,\"shadow\":%s}",
         obs::EscapeLabelValue(m.interface).c_str(), static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
         m.latency.PercentileNs(50) / 1e3, m.latency.PercentileNs(99) / 1e3,
         static_cast<unsigned long long>(m.derived_hits.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(m.param_hits.load(std::memory_order_relaxed)),
         shadow_->SummaryJson(i).c_str());
   }
   out += "]}";
@@ -706,7 +688,6 @@ PredictResponse PredictionService::Finish(const PredictRequest& request,
   const EvalDetail& detail = outcome.detail;
   metrics_->RecordRequest(outcome.iface_idx, r.eval_ns, r.ok());
   metrics_->RecordDerivedHits(outcome.iface_idx, detail.derived_hits);
-  metrics_->RecordParamHits(outcome.iface_idx, detail.param_hits);
   metrics_->RecordStatus(outcome.cache, r.status == PredictStatus::kDeadlineExceeded,
                          r.status == PredictStatus::kRejected);
   if (outcome.span->active()) {
@@ -725,7 +706,6 @@ PredictResponse PredictionService::Finish(const PredictRequest& request,
     ex.memo_components = detail.memo_components;
     ex.memo_hits = detail.memo_hits;
     ex.derived_hits = detail.derived_hits;
-    ex.param_hits = detail.param_hits;
     ex.deadline_limited = outcome.deadline_limited;
     ex.shadowed = outcome.shadow.ran;
     ex.shadow_truth = outcome.shadow.truth;
@@ -944,48 +924,35 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   const PetriNet& net = *entry.pnet.net;
   const CompiledNet& cnet = *entry.compiled;
 
-  // Resolve the injection plan: either the first declared place, or each
-  // `place[:count]` item of the comma-separated entry_place spec. Items
-  // without an explicit count inject `tokens` copies.
-  const int default_count = std::max(1, request.tokens);
+  // Resolve the injection plan (ParseEntryPlan, the parser the cache key
+  // uses) against this net. Nothing is injected until the whole plan is
+  // known to be well formed, within kMaxInjectedTokens, and bound to
+  // places the net declares.
+  const EntryPlan plan = ParseEntryPlan(request);
+  if (!plan.malformed.empty()) {
+    response.status = PredictStatus::kError;
+    response.error =
+        StrFormat("bad token count in entry place item '%s'", plan.malformed.front().c_str());
+    return response;
+  }
+  if (plan.total_tokens > kMaxInjectedTokens) {
+    response.status = PredictStatus::kError;
+    response.error = StrFormat("injected token count %lld exceeds the cap of %lld",
+                               plan.total_tokens, kMaxInjectedTokens);
+    return response;
+  }
+  // Counts fit an int from here on: each is at most kMaxInjectedTokens.
   std::vector<std::pair<PlaceId, int>> injections;
-  if (request.entry_place.empty()) {
-    injections.emplace_back(PlaceId{0}, default_count);
-  } else {
-    for (std::string item : SplitString(request.entry_place, ',')) {
-      // Whitespace is insignificant, exactly as in CanonicalCacheKey: the
-      // cache would serve "hdr_in : 1" from a "hdr_in:1" entry, so the
-      // cold path must accept it too.
-      item.erase(std::remove_if(item.begin(), item.end(),
-                                [](unsigned char ch) { return std::isspace(ch) != 0; }),
-                 item.end());
-      std::string name = item;
-      int count = default_count;
-      const std::size_t colon = item.find(':');
-      if (colon != std::string::npos) {
-        name = item.substr(0, colon);
-        char* end = nullptr;
-        errno = 0;
-        const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
-        // The ERANGE check matters on LP64 too: without it an overflowing
-        // count clamps to LLONG_MAX and the narrowing cast below would
-        // truncate it to garbage instead of rejecting the item.
-        if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE ||
-            parsed < 1 || parsed > std::numeric_limits<int>::max()) {
-          response.status = PredictStatus::kError;
-          response.error = StrFormat("bad token count in entry place item '%s'", item.c_str());
-          return response;
-        }
-        count = static_cast<int>(parsed);
-      }
-      if (!net.HasPlace(name)) {
-        response.status = PredictStatus::kNotFound;
-        response.error =
-            StrFormat("net '%s' has no place '%s'", entry.name.c_str(), name.c_str());
-        return response;
-      }
-      injections.emplace_back(net.PlaceByName(name), count);
+  if (plan.first_place) {
+    injections.emplace_back(PlaceId{0}, static_cast<int>(plan.total_tokens));
+  }
+  for (const auto& [name, count] : plan.items) {
+    if (!net.HasPlace(name)) {
+      response.status = PredictStatus::kNotFound;
+      response.error = StrFormat("net '%s' has no place '%s'", entry.name.c_str(), name.c_str());
+      return response;
     }
+    injections.emplace_back(net.PlaceByName(name), static_cast<int>(count));
   }
 
   // Map workload attributes onto the net's token schema; names the schema
@@ -1000,11 +967,6 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     }
   }
 
-  int tokens = 0;
-  for (const auto& [place, count] : injections) {
-    tokens += count;
-  }
-
   Cycles value = 0;
   bool quiesced = true;
   bool firing_budget_hit = false;
@@ -1016,22 +978,10 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     // firings against one shared budget so budget-exhaustion statuses
     // match a whole-net run exactly (the total work is identical, only
     // the interleaving differs). Every component must run — one with no
-    // injected tokens can still fire off its initial marking.
+    // injected tokens can still fire off its initial marking. Each
+    // component is answered by the first exact tier that can: memo table,
+    // derived closed form, simulation.
     PnetMemoTable& memo = PnetMemoTable::Global();
-    ParamModelStore& params = ParamModelStore::Global();
-    const bool param_memo = options_.enable_param_memo;
-    const ParamGate param_gate{options_.param_memo_min_samples,
-                               options_.param_memo_max_rel_err};
-    // Schema-sorted attribute vector: the memo key's canonical attribute
-    // order, doubling as the parametric model's feature vector. Built only
-    // when the parametric tier is on — the strict path allocates nothing.
-    std::vector<double> sorted_attrs;
-    if (param_memo) {
-      sorted_attrs.reserve(entry.attr_order.size());
-      for (const std::size_t slot : entry.attr_order) {
-        sorted_attrs.push_back(token.attrs[slot]);
-      }
-    }
     std::uint64_t remaining = budget;
     detail->memo_components = cnet.num_components();
     for (std::size_t c = 0; c < cnet.num_components(); ++c) {
@@ -1053,7 +1003,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         // compiled delay expressions (src/petri/distill.h). The first
         // consultation per (component, plan) distills — a few restricted
         // probe simulations, cached process-wide — and every outcome
-        // short of a hit falls through bit-identically.
+        // short of a hit falls through to the exact simulation below.
         DerivedStore& derived = DerivedStore::Global();
         const std::string derived_key = DerivedStore::Key(cnet, c, injections);
         DerivedPrediction derived_pred;
@@ -1075,29 +1025,6 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
           remaining -= derived_pred.firings;
           detail->steps += derived_pred.firings;
           value = std::max(value, derived_pred.quiesce_time);
-          continue;
-        }
-      }
-      std::string param_key;
-      if (!hit && param_memo) {
-        // Second tier: the fitted per-component delay curve. A gate-open
-        // prediction substitutes for the simulation below; any refusal
-        // falls through to simulate exactly as with the tier off.
-        param_key = ParamModelStore::Key(cnet, c, injections);
-        ParamPrediction predicted;
-        ParamModelStore::Outcome outcome;
-        {
-          obs::SpanGuard param_span("serve", "param_lookup");
-          outcome = params.Predict(param_key, sorted_attrs, param_gate, remaining, &predicted);
-          if (param_span.active()) {
-            param_span.SetArg("hit", outcome == ParamModelStore::Outcome::kHit ? 1.0 : 0.0);
-          }
-        }
-        if (outcome == ParamModelStore::Outcome::kHit) {
-          ++detail->param_hits;
-          remaining -= predicted.firings;
-          detail->steps += predicted.firings;
-          value = std::max(value, static_cast<Cycles>(std::llround(predicted.quiesce_time)));
           continue;
         }
       }
@@ -1123,25 +1050,16 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         }
         // Only quiesced results enter the table (pnet_memo.h contract).
         memo.Insert(key, result);
-        if (param_memo) {
-          // Every exact fill also feeds the fitter: the parametric tier
-          // learns from precisely the results the memo table stores.
-          params.Observe(param_key, sorted_attrs, static_cast<double>(result.quiesce_time),
-                         result.firings);
-        }
       }
       remaining -= result.firings;
       detail->steps += result.firings;
       value = std::max(value, result.quiesce_time);
     }
     if (detail->memo_components != 0 &&
-        detail->memo_hits + detail->derived_hits + detail->param_hits ==
-            detail->memo_components) {
-      // No component simulated. Closed-form wins over interpolation in the
-      // label: "pnet-derived" whenever the distilled tier contributed.
-      detail->representation = detail->derived_hits != 0
-                                   ? "pnet-derived"
-                                   : (detail->param_hits != 0 ? "pnet-param" : "pnet-memo");
+        detail->memo_hits + detail->derived_hits == detail->memo_components) {
+      // No component simulated: "pnet-derived" whenever the distilled tier
+      // contributed.
+      detail->representation = detail->derived_hits != 0 ? "pnet-derived" : "pnet-memo";
     }
   } else {
     // Memo off (or net unhashable: opaque C++ closures): one whole-net
@@ -1176,7 +1094,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   }
   response.status = PredictStatus::kOk;
   response.value = static_cast<double>(value);
-  response.throughput = value == 0 ? 0.0 : static_cast<double>(tokens) / response.value;
+  response.throughput = value == 0 ? 0.0 : static_cast<double>(plan.total_tokens) / response.value;
   return response;
 }
 

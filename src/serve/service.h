@@ -72,27 +72,18 @@ struct ServiceOptions {
   // table in src/petri/pnet_memo.h). Off, every pnet query simulates from
   // scratch — useful for benchmarking and for verifying equivalence.
   bool enable_pnet_memo = true;
-  // Parametric memoization (src/petri/param_model.h): on an exact-memo
-  // miss, consult the per-component delay curve fitted online from prior
-  // exact results and serve the interpolated value when the gates open
-  // (enough samples, query inside the observed attribute hull, running
-  // residual bound under param_memo_max_rel_err). Off by default: enabling
-  // it trades bit-exact replay of the simulation for interpolated answers
-  // on near-miss traffic. Gate-closed queries are bit-identical to the
-  // memo-only path either way. Requires enable_pnet_memo (the exact fills
-  // are what feed the fitter).
-  bool enable_param_memo = false;
-  std::size_t param_memo_min_samples = 32;
-  double param_memo_max_rel_err = 0.02;
   // Derived closed-form interfaces (src/petri/distill.h): on an exact-memo
-  // miss — and before the parametric tier — serve deterministic-path
-  // components from the closed form distilled out of their compiled delay
-  // expressions. Distillation runs once per (component, injection plan),
-  // probing with a handful of restricted simulations; any refusal (attr-
-  // dependent guards, drifting firing counts, query outside the probed
-  // hull) falls back to the lower tiers bit-identically. Off by default.
-  // Requires enable_pnet_memo (the tier lives on the per-component path).
+  // miss, serve deterministic-path components from the closed form
+  // distilled out of their compiled delay expressions. Distillation runs
+  // once per (component, injection plan), probing with a handful of
+  // restricted simulations; any refusal (attr-dependent guards, drifting
+  // firing counts, query outside the probed hull) falls back to simulation
+  // bit-identically. Off by default. Requires enable_pnet_memo (the tier
+  // lives on the per-component path).
   bool enable_derived = false;
+  // There is no approximate (fitted) pnet tier. A constant, not an option:
+  // perfbench's facts line still prints it.
+  static constexpr bool enable_param_memo = false;
   // Program interfaces always run as compiled bytecode (one Vm per worker
   // per program). A constant, not an option: perfbench's facts line still
   // prints it.
@@ -235,10 +226,6 @@ class PredictionService {
     std::optional<ProgramInterface> program;  // shared parse + constants
     LoadedNet pnet;                           // pnet.net null if none shipped
     std::unique_ptr<CompiledNet> compiled;    // non-null iff pnet.net is
-    // Token-schema slots sorted by attribute name: the memo key's
-    // canonical attribute order, reused as the parametric model's feature
-    // vector (computed once here, not per request).
-    std::vector<std::size_t> attr_order;
   };
 
   // What the probe half learned about a request that missed the cache,
@@ -299,14 +286,12 @@ class PredictionService {
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "cache" | "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived" |
-    // "pnet-param"
+    // "cache" | "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived"
     const char* representation = "";
     std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;
     std::uint64_t memo_hits = 0;
     std::uint64_t derived_hits = 0;   // components served by distilled closed forms
-    std::uint64_t param_hits = 0;     // components served by the fitted model
   };
 
   // Per-request bookkeeping of one half (probe or evaluate), turned into

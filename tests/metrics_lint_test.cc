@@ -52,7 +52,7 @@ std::string BaseFamily(const std::string& name) {
 
 TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   // Drive every layer that contributes families: program queries (VM
-  // counters), pnet queries (memo table + parametric store), conv queries
+  // counters), pnet queries (memo table + derived store), conv queries
   // with shadow validation on (conv sim + shadow families), and the TCP
   // front end (net counters).
   conv::RegisterConvShadowBackend();
@@ -73,7 +73,6 @@ TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   options.num_workers = 2;
   options.cache_capacity = 64;
   options.shadow_sample_every = 1;
-  options.enable_param_memo = true;
   options.enable_derived = true;
   serve::PredictionService service(InterfaceRegistry::Default(), options);
   net::NetServer server(&service);

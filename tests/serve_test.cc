@@ -11,12 +11,15 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/accel/conv/conv_shadow.h"
 #include "src/accel/jpeg/jpeg_shadow.h"
+#include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
 #include "src/obs/metrics_registry.h"
@@ -24,7 +27,7 @@
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
 #include "src/perfscript/vm.h"
-#include "src/petri/param_model.h"
+#include "src/petri/distill.h"
 #include "src/petri/pnet_memo.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
@@ -1080,15 +1083,16 @@ TEST(PredictionService, StatuszJsonCoversBuildOptionsAndInterfaces) {
   const std::string status = service.StatuszJson();
   for (const char* needle :
        {"\"uptime_s\"", "\"build\"", "\"version\"", "\"options\"", "\"interfaces\"",
-        "\"jpeg_decoder\"", "\"conv\"", "\"shadow\"", "\"qps\"", "\"p99_us\""}) {
+        "\"jpeg_decoder\"", "\"conv\"", "\"shadow\"", "\"qps\"", "\"p99_us\"",
+        "\"pnet_memo\"", "\"evictions\"", "\"derived_store\""}) {
     EXPECT_NE(status.find(needle), std::string::npos) << needle;
   }
 }
 
-// --- parametric memoization (docs/serving.md "Parametric memoization") ---
+// --- derived closed-form tier (docs/serving.md "Unified expression IR") ---
 
-// A jpeg stripe query with a distinct coded-bit count: the near-miss
-// traffic shape the parametric tier exists for.
+// A jpeg stripe query: one header token plus `plan`'s stripes, each
+// carrying `bits` coded bits over 8 blocks.
 PredictRequest JpegStripeRequest(double bits, const std::string& plan = "hdr_in:1,vld_in:8") {
   PredictRequest req;
   req.interface = "jpeg_decoder";
@@ -1098,136 +1102,129 @@ PredictRequest JpegStripeRequest(double bits, const std::string& plan = "hdr_in:
   return req;
 }
 
-// Acceptance: with every gate held shut (min_samples unreachable), the
-// param-enabled service must serve values bit-identical to a service that
-// always simulates — the parametric tier may only ever *add* hits, never
-// change a fallback answer.
-TEST(PredictionServiceParam, GateClosedServesBitIdenticalValues) {
+// The pnet ladder is exact memo -> derived -> simulation, and every rung
+// is exact: over seeded random jpeg traffic a derived-on service answers
+// bit-identically to one that simulates every query from scratch. Each
+// injection plan is seeded at bits=1000, blocks=8; distillation probes
+// scale up from there, so one plan's traffic stays inside the probed hull
+// (served derived) and the other's stays below it (refused, simulated).
+TEST(PredictionServiceDerived, ServesBitIdenticalToSimulationInAndOutOfHull) {
   PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
+  DerivedStore::Global().Clear();
   ServiceOptions strict;
   strict.num_workers = 1;
   strict.cache_capacity = 0;
   strict.enable_pnet_memo = false;  // simulates every query from scratch
-  ServiceOptions gated = strict;
-  gated.enable_pnet_memo = true;
-  gated.enable_param_memo = true;
-  gated.param_memo_min_samples = static_cast<std::size_t>(1) << 40;  // never opens
+  ServiceOptions derived = strict;
+  derived.enable_pnet_memo = true;
+  derived.enable_derived = true;
   PredictionService sim_svc(InterfaceRegistry::Default(), strict);
-  PredictionService gated_svc(InterfaceRegistry::Default(), gated);
+  PredictionService derived_svc(InterfaceRegistry::Default(), derived);
 
-  const std::uint64_t hits_before = ParamModelStore::Global().hits();
-  for (int i = 0; i < 24; ++i) {
-    PredictRequest req = JpegStripeRequest(40000.0 + 613.0 * i);
+  const std::string in_hull = "hdr_in:1,vld_in:8";
+  const std::string out_of_hull = "hdr_in:1,vld_in:9";
+  for (const std::string& plan : {in_hull, out_of_hull}) {
+    PredictRequest seed = JpegStripeRequest(1000.0, plan);
+    const PredictResponse base = sim_svc.Predict(seed);
+    const PredictResponse got = derived_svc.Predict(seed);
+    ASSERT_TRUE(base.ok() && got.ok()) << base.error << got.error;
+    EXPECT_EQ(got.value, base.value) << plan;
+  }
+
+  SplitMix64 rng(0xd371);
+  for (int i = 0; i < 300; ++i) {
+    const bool inside = i % 2 == 0;
+    PredictRequest req =
+        inside ? JpegStripeRequest(1000.0 + 1000.0 * rng.NextDouble(), in_hull)
+               : JpegStripeRequest(100.0 + 800.0 * rng.NextDouble(), out_of_hull);
+    req.attrs[1].second = static_cast<double>(8 + rng.NextBelow(9));  // blocks in [8, 16]
     req.explain = true;
     const PredictResponse base = sim_svc.Predict(req);
-    const PredictResponse got = gated_svc.Predict(req);
-    ASSERT_TRUE(base.ok() && got.ok()) << base.error << got.error;
+    const PredictResponse got = derived_svc.Predict(req);
+    ASSERT_TRUE(base.ok() && got.ok()) << i << ": " << base.error << got.error;
     EXPECT_EQ(got.value, base.value) << i;
     EXPECT_EQ(got.throughput, base.throughput) << i;
     ASSERT_TRUE(got.explain.filled);
-    EXPECT_EQ(got.explain.param_hits, 0u) << i;
-    EXPECT_NE(got.explain.representation, "pnet-param") << i;
+    if (inside) {
+      EXPECT_EQ(got.explain.representation, "pnet-derived") << i;
+      EXPECT_GT(got.explain.derived_hits, 0u) << i;
+    } else {
+      EXPECT_EQ(got.explain.representation, "pnet") << i;
+      EXPECT_EQ(got.explain.derived_hits, 0u) << i;
+    }
   }
-  // The gate never opened, but every exact result still fed the fitter.
-  EXPECT_EQ(ParamModelStore::Global().hits(), hits_before);
-  EXPECT_GT(ParamModelStore::Global().fits(), 0u);
 }
 
-// Out-of-hull and high-residual queries must fall back to simulation and
-// reproduce the strict path's value exactly.
-TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
-  PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
-  ServiceOptions strict;
-  strict.num_workers = 1;
-  strict.cache_capacity = 0;
-  strict.enable_pnet_memo = false;
-  PredictionService sim_svc(InterfaceRegistry::Default(), strict);
+// --- injected-token cap (kMaxInjectedTokens) ---
 
-  // Hull gate: warm a narrow bit range with the residual gate loose, then
-  // query far below it — clamped extrapolation must be refused.
-  ServiceOptions hull = strict;
-  hull.enable_pnet_memo = true;
-  hull.enable_param_memo = true;
-  hull.param_memo_min_samples = 4;
-  hull.param_memo_max_rel_err = 0.5;
-  PredictionService hull_svc(InterfaceRegistry::Default(), hull);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(hull_svc.Predict(JpegStripeRequest(40000.0 + 613.0 * i)).ok());
-  }
-  const std::uint64_t hull_refusals = ParamModelStore::Global().refused_hull();
-  PredictRequest below = JpegStripeRequest(200.0);
-  below.explain = true;
-  const PredictResponse hull_base = sim_svc.Predict(below);
-  const PredictResponse hull_got = hull_svc.Predict(below);
-  ASSERT_TRUE(hull_base.ok() && hull_got.ok());
-  EXPECT_EQ(hull_got.value, hull_base.value);
-  EXPECT_EQ(hull_got.explain.param_hits, 0u);
-  EXPECT_GT(ParamModelStore::Global().refused_hull(), hull_refusals);
+// One token over the cap answers ERROR before anything is injected,
+// whether the count arrives through `tokens` (empty spec) or through the
+// entry spec, duplicates merged.
+TEST(PredictionService, OverCapInjectionPlansAnswerError) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  const int over = static_cast<int>(kMaxInjectedTokens) + 1;
 
-  // Residual gate: a different injection plan (its own model) over the
-  // VLD-sensitive bit range, with an impossible residual bound. The 1/bits
-  // delay curve leaves nonzero prequential residuals, so the gate refuses
-  // even for interior queries.
-  ServiceOptions resid = hull;
-  resid.param_memo_max_rel_err = 0.0;
-  PredictionService resid_svc(InterfaceRegistry::Default(), resid);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(
-        resid_svc.Predict(JpegStripeRequest(200.0 + 25.0 * i, "hdr_in:1,vld_in:9")).ok());
-  }
-  const std::uint64_t resid_refusals = ParamModelStore::Global().refused_residual();
-  PredictRequest mid = JpegStripeRequest(437.0, "hdr_in:1,vld_in:9");
-  mid.explain = true;
-  const PredictResponse resid_base = sim_svc.Predict(mid);
-  const PredictResponse resid_got = resid_svc.Predict(mid);
-  ASSERT_TRUE(resid_base.ok() && resid_got.ok());
-  EXPECT_EQ(resid_got.value, resid_base.value);
-  EXPECT_EQ(resid_got.explain.param_hits, 0u);
-  EXPECT_GT(ParamModelStore::Global().refused_residual(), resid_refusals);
+  const PredictResponse by_tokens = service.Predict(PnetRequest("jpeg_decoder", "", over));
+  EXPECT_EQ(by_tokens.status, PredictStatus::kError);
+  EXPECT_NE(by_tokens.error.find("cap"), std::string::npos) << by_tokens.error;
+
+  const PredictResponse by_spec = service.Predict(
+      PnetRequest("jpeg_decoder", StrFormat("hdr_in:1,vld_in:%d", over - 1)));
+  EXPECT_EQ(by_spec.status, PredictStatus::kError);
+  EXPECT_NE(by_spec.error.find("cap"), std::string::npos) << by_spec.error;
+
+  const PredictResponse merged = service.Predict(
+      PnetRequest("jpeg_decoder", StrFormat("vld_in:%d,vld_in:1,hdr_in:1", over - 2)));
+  EXPECT_EQ(merged.status, PredictStatus::kError);
+  EXPECT_NE(merged.error.find("cap"), std::string::npos) << merged.error;
+
+  // Exactly at the cap is admitted: a tiny step budget stops the run
+  // right after injection, so the status is the budget's, not the cap's.
+  PredictRequest at_cap =
+      PnetRequest("jpeg_decoder", StrFormat("hdr_in:1,vld_in:%d", over - 2));
+  at_cap.max_steps = 4;
+  EXPECT_EQ(service.Predict(at_cap).status, PredictStatus::kResourceExhausted);
 }
 
-// The payoff path: after enough exact fills, an unseen interior workload
-// is served from the fitted curve — representation "pnet-param", the hit
-// attributed in explain and /statusz, and the value within the gate's own
-// error budget of the simulated truth.
-TEST(PredictionServiceParam, NearMissServesPnetParamWithProvenance) {
-  PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
-  ServiceOptions strict;
-  strict.num_workers = 1;
-  strict.cache_capacity = 0;
-  strict.enable_pnet_memo = false;
-  PredictionService sim_svc(InterfaceRegistry::Default(), strict);
+// Two INT_MAX items total about 4.3e9 tokens: the sum neither overflows
+// nor reaches the simulator. Kept apart from the test above so that one
+// can be run against a build without the cap; this one would try to
+// inject every token there.
+TEST(PredictionService, IntMaxEntryCountsAnswerErrorWithoutOverflow) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  const PredictResponse resp =
+      service.Predict(PnetRequest("jpeg_decoder", "hdr_in:2147483647,vld_in:2147483647"));
+  EXPECT_EQ(resp.status, PredictStatus::kError);
+  EXPECT_NE(resp.error.find("cap"), std::string::npos) << resp.error;
+}
 
-  ServiceOptions on = strict;
-  on.enable_pnet_memo = true;
-  on.enable_param_memo = true;
-  on.param_memo_min_samples = 16;
-  on.param_memo_max_rel_err = 0.02;
-  PredictionService svc(InterfaceRegistry::Default(), on);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(svc.Predict(JpegStripeRequest(40000.0 + 977.0 * i)).ok());
-  }
+TEST(EntryPlan, SortsMergesAndTotalsItems) {
+  PredictRequest req = PnetRequest("jpeg_decoder", " vld_in : 4 ,hdr_in,vld_in:4", 3);
+  EntryPlan plan = ParseEntryPlan(req);
+  EXPECT_FALSE(plan.first_place);
+  ASSERT_EQ(plan.items.size(), 2u);
+  EXPECT_EQ(plan.items[0], (std::pair<std::string, long long>("hdr_in", 3)));
+  EXPECT_EQ(plan.items[1], (std::pair<std::string, long long>("vld_in", 8)));
+  EXPECT_TRUE(plan.malformed.empty());
+  EXPECT_EQ(plan.total_tokens, 11);
 
-  PredictRequest probe = JpegStripeRequest(40500.0);  // unseen, inside the hull
-  probe.explain = true;
-  const PredictResponse base = sim_svc.Predict(probe);
-  const PredictResponse got = svc.Predict(probe);
-  ASSERT_TRUE(base.ok() && got.ok()) << base.error << got.error;
-  ASSERT_TRUE(got.explain.filled);
-  EXPECT_EQ(got.explain.representation, "pnet-param");
-  EXPECT_GT(got.explain.param_hits, 0u);
-  EXPECT_EQ(got.explain.memo_hits + got.explain.param_hits, got.explain.memo_components);
-  EXPECT_NEAR(got.value, base.value, 0.02 * base.value);
-  EXPECT_GT(ParamModelStore::Global().hits(), 0u);
+  req.entry_place = "";
+  plan = ParseEntryPlan(req);
+  EXPECT_TRUE(plan.first_place);
+  EXPECT_TRUE(plan.items.empty());
+  EXPECT_EQ(plan.total_tokens, 3);
 
-  const std::string status = svc.StatuszJson();
-  for (const char* needle : {"\"param_memo\":true", "\"param_store\"", "\"models\"",
-                             "\"param_hits\"", "\"pnet_memo\"", "\"evictions\""}) {
-    EXPECT_NE(status.find(needle), std::string::npos) << needle;
-  }
+  req.entry_place = "vld_in:x,hdr_in:0,vld_in:1";
+  plan = ParseEntryPlan(req);
+  EXPECT_EQ(plan.malformed, (std::vector<std::string>{"hdr_in:0", "vld_in:x"}));
+  EXPECT_EQ(plan.total_tokens, 1);
+
+  req.entry_place = "a:9223372036854775807,b:9223372036854775807";
+  EXPECT_EQ(ParseEntryPlan(req).total_tokens, std::numeric_limits<long long>::max());
 }
 
 // --- jpeg shadow backend (src/accel/jpeg/jpeg_shadow.h) ---

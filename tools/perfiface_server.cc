@@ -26,13 +26,6 @@
 //   --shadow-threshold X   relative error above which a shadow run counts
 //                          as a drift violation (default 0.15)
 //   --shadow-seed N        seed for the deterministic shadow sampler
-//   --param-memo           serve exact-memo misses from per-component
-//                          fitted delay curves when the gates pass
-//                          (docs/serving.md "Parametric memoization")
-//   --param-min-samples N  exact results required before a curve serves
-//                          (default 32)
-//   --param-max-rel-err X  running residual bound above which the model
-//                          refuses to serve (default 0.02)
 //   --derived              serve exact-memo misses from closed-form
 //                          interfaces distilled out of the compiled delay
 //                          expressions (docs/serving.md "Unified
@@ -84,8 +77,7 @@ int Usage() {
                "                        [--io-timeout-ms N] [--max-frame-bytes N]\n"
                "                        [--max-inflight N] [--shadow-every N]\n"
                "                        [--shadow-threshold X] [--shadow-seed N]\n"
-               "                        [--param-memo] [--param-min-samples N]\n"
-               "                        [--param-max-rel-err X] [--derived]\n"
+               "                        [--derived]\n"
                "                        [--quota TENANT=QPS[:BURST]] [--admission]\n");
   return 2;
 }
@@ -151,12 +143,6 @@ int Main(int argc, char** argv) {
       service_options.shadow_drift_threshold = std::atof(v);
     } else if (arg == "--shadow-seed" && (v = value()) != nullptr) {
       service_options.shadow_seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--param-memo") {
-      service_options.enable_param_memo = true;
-    } else if (arg == "--param-min-samples" && (v = value()) != nullptr) {
-      service_options.param_memo_min_samples = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--param-max-rel-err" && (v = value()) != nullptr) {
-      service_options.param_memo_max_rel_err = std::atof(v);
     } else if (arg == "--derived") {
       service_options.enable_derived = true;
     } else if (arg == "--quota" && (v = value()) != nullptr) {
