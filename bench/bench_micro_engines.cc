@@ -7,9 +7,12 @@
 #include "src/accel/vta/vta_sim.h"
 #include "src/core/petri_interfaces.h"
 #include "src/core/program_interface.h"
+#include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/core/script_objects.h"
 #include "src/mem/memory_system.h"
+#include "src/petri/compiled_net.h"
+#include "src/petri/sim.h"
 #include "src/sim/pipeline_model.h"
 #include "src/workload/image_gen.h"
 #include "src/workload/vta_gen.h"
@@ -77,6 +80,33 @@ void BM_JpegPetriPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JpegPetriPredict);
+
+// What the prediction service runs on a jpeg pnet miss: one sim per worker
+// reset per query, one header token and 20 identical stripes (the same
+// token, as the service injects it) on the compiled net's component 0.
+// Unlike BM_JpegPetriPredict, whose stripes each carry their own bit count,
+// every stripe here shares one pool entry, so the delay memo hits.
+void BM_JpegPnetServiceShape(benchmark::State& state) {
+  const LoadedNet loaded =
+      LoadPnetFile(InterfaceRegistry::Default().Get("jpeg_decoder").pnet_path);
+  const CompiledNet cnet(loaded.net.get());
+  const PetriNet& net = *loaded.net;
+  Token token;
+  token.attrs.assign(net.attr_names().size(), 0.0);
+  token.attrs[net.FindAttr("bits")] = 1234;
+  token.attrs[net.FindAttr("blocks")] = 8;
+  const PlaceId hdr = net.PlaceByName("hdr_in");
+  const PlaceId vld = net.PlaceByName("vld_in");
+  PetriSim sim(&cnet, 0);
+  for (auto _ : state) {
+    sim.Reset();
+    sim.Inject(hdr, token);
+    sim.Inject(vld, token, 20);
+    benchmark::DoNotOptimize(sim.Run(Cycles{1} << 40));
+    benchmark::DoNotOptimize(sim.now());
+  }
+}
+BENCHMARK(BM_JpegPnetServiceShape);
 
 void BM_PerfScriptEval(benchmark::State& state) {
   const ProgramInterface iface = InterfaceRegistry::Default().LoadProgram("jpeg_decoder");

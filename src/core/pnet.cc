@@ -130,11 +130,15 @@ std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
       error, options);
 }
 
-// Evaluates a bound expression against the primary (first) token of a firing.
-double EvalNetExpr(const CompiledExpr& expr, const TokenRefs& tokens) {
+// Evaluates a bound expression against the primary (first) token of a
+// firing; false when the evaluation fails (a division or modulo by zero).
+bool EvalNetExpr(const CompiledExpr& expr, const TokenRefs& tokens, double* out) {
   PI_CHECK(!tokens.empty());
   const Token* primary = tokens.front();
-  return expr.Eval([primary](std::uint32_t slot) { return primary->Attr(slot); });
+  const EvalResult r =
+      expr.EvalChecked([primary](std::uint32_t slot) { return primary->Attr(slot); });
+  *out = r.value.num;
+  return r.ok;
 }
 
 }  // namespace
@@ -266,9 +270,10 @@ LoadedNet LoadPnet(std::string_view text) {
       spec.delay_expr = delay_sp->Canonical();
       spec.delay_compiled = delay_sp;
       spec.delay = [delay_sp](const TokenRefs& tokens) -> Cycles {
-        const double v = EvalNetExpr(*delay_sp, tokens);
-        if (!(v >= 0 && v < 1e15)) {
-          return kBadDelay;  // the workload drove the expression out of range
+        double v = 0;
+        if (!EvalNetExpr(*delay_sp, tokens, &v) || !(v >= 0 && v < 1e15)) {
+          // The workload drove the expression out of range or made it fail.
+          return kBadDelay;
         }
         return static_cast<Cycles>(std::llround(v));
       };
@@ -282,8 +287,12 @@ LoadedNet LoadPnet(std::string_view text) {
         }
         spec.guard_expr = guard_sp->Canonical();
         spec.guard_compiled = guard_sp;
+        // A failing guard enables nothing. PetriSim never calls this
+        // closure: it evaluates guard_compiled itself and stops the run on
+        // a failure, naming the transition (PetriSim::expr_error).
         spec.guard = [guard_sp](const TokenRefs& tokens) -> bool {
-          return EvalNetExpr(*guard_sp, tokens) != 0.0;
+          double v = 0;
+          return EvalNetExpr(*guard_sp, tokens, &v) && v != 0.0;
         };
       }
       net.AddTransition(std::move(spec));

@@ -226,13 +226,9 @@ class CompiledExpr {
                                                      const ExprCompileOptions& options = {});
 
   // Evaluates with slot values read through `slot` (double(std::uint32_t)).
-  // Aborts on division/modulo by zero — the Petri-net contract, where a
-  // zero divisor in a delay is a net bug, not a recoverable condition.
-  template <typename SlotFn>
-  double Eval(SlotFn&& slot) const;
-
-  // Same, but reports division/modulo by zero as an error result
-  // ("line N: division by zero") instead of aborting.
+  // Division/modulo by zero is an error result ("line N: division by
+  // zero"): a workload can drive any divisor to zero, so no caller may
+  // treat it as unreachable.
   template <typename SlotFn>
   EvalResult EvalChecked(SlotFn&& slot) const;
 
@@ -287,11 +283,12 @@ class CompiledExpr {
   };
   static constexpr int kMaxStack = 64;
 
+  // False (with *error set) on division/modulo by zero.
   template <typename SlotFn>
-  double Run(SlotFn&& slot, bool* failed, std::string* error) const;
+  bool Run(SlotFn&& slot, double* out, std::string* error) const;
 
   // Compile-time folding, shared by the lowering and the summary. A zero
-  // divisor does not fold: it must stay a runtime abort/error.
+  // divisor does not fold: it must stay a runtime error.
   static double FoldUnary(ExprOp op, double x);
   static bool FoldBinary(ExprOp op, double x, double y, double* r);
 

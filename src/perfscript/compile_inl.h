@@ -18,7 +18,7 @@ namespace perfiface {
 // superinstructions use RoundBarrier to keep their internal multiply+add as
 // two roundings.
 template <typename SlotFn>
-double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const {
+bool CompiledExpr::Run(SlotFn&& slot, double* out, std::string* error) const {
   double regs[256];
   for (const std::uint32_t s : used_slots_) regs[s] = slot(s);
   const double* consts = rconsts_.data();
@@ -32,12 +32,8 @@ double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const 
       case Op::kDiv: {
         const double d = regs[ins.c];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "division by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: division by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = regs[ins.b] / d;
         break;
@@ -45,12 +41,8 @@ double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const 
       case Op::kMod: {
         const double d = regs[ins.c];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "modulo by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: modulo by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = std::fmod(regs[ins.b], d);
         break;
@@ -69,12 +61,8 @@ double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const 
       case Op::kRDivC: {
         const double d = regs[ins.b];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "division by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: division by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = consts[ins.imm] / d;
         break;
@@ -109,25 +97,21 @@ double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const 
       case Op::kOr2:
         regs[ins.a] = (regs[ins.b] != 0 || regs[ins.c] != 0) ? 1 : 0;
         break;
-      case Op::kRet: return regs[ins.a];
+      case Op::kRet:
+        *out = regs[ins.a];
+        return true;
       default: PI_CHECK_MSG(false, "bad opcode in expression register code");
     }
   }
   PI_CHECK_MSG(false, "expression register code fell off the end");
-  return 0;
-}
-
-template <typename SlotFn>
-double CompiledExpr::Eval(SlotFn&& slot) const {
-  return Run(static_cast<SlotFn&&>(slot), nullptr, nullptr);
+  return false;
 }
 
 template <typename SlotFn>
 EvalResult CompiledExpr::EvalChecked(SlotFn&& slot) const {
   EvalResult out;
-  bool failed = false;
-  const double v = Run(static_cast<SlotFn&&>(slot), &failed, &out.error);
-  if (failed) {
+  double v = 0;
+  if (!Run(static_cast<SlotFn&&>(slot), &v, &out.error)) {
     return out;
   }
   out.ok = true;

@@ -165,23 +165,59 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     info.out_end = static_cast<std::uint32_t>(outputs_.size());
   }
 
-  // --- CSR watcher table ------------------------------------------------
-  std::vector<std::vector<std::uint32_t>> watcher_lists(places.size());
+  // --- CSR watcher tables ----------------------------------------------
+  std::vector<std::vector<std::uint32_t>> consumer_lists(places.size());
+  std::vector<std::vector<std::uint32_t>> producer_lists(places.size());
   for (std::size_t t = 0; t < specs.size(); ++t) {
     for (const Arc& a : specs[t].inputs) {
-      watcher_lists[a.place].push_back(static_cast<std::uint32_t>(t));
+      consumer_lists[a.place].push_back(static_cast<std::uint32_t>(t));
     }
     for (const Arc& a : specs[t].outputs) {
-      watcher_lists[a.place].push_back(static_cast<std::uint32_t>(t));
+      producer_lists[a.place].push_back(static_cast<std::uint32_t>(t));
     }
   }
+  auto append = [this](std::vector<std::uint32_t>* list, std::uint32_t* begin,
+                       std::uint32_t* end) {
+    // Transition ids ascend already; a transition with two arcs on one
+    // place is listed once.
+    list->erase(std::unique(list->begin(), list->end()), list->end());
+    *begin = static_cast<std::uint32_t>(watchers_.size());
+    watchers_.insert(watchers_.end(), list->begin(), list->end());
+    *end = static_cast<std::uint32_t>(watchers_.size());
+  };
   for (std::size_t p = 0; p < places.size(); ++p) {
-    std::vector<std::uint32_t>& list = watcher_lists[p];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    places_[p].watch_begin = static_cast<std::uint32_t>(watchers_.size());
-    watchers_.insert(watchers_.end(), list.begin(), list.end());
-    places_[p].watch_end = static_cast<std::uint32_t>(watchers_.size());
+    append(&consumer_lists[p], &places_[p].consumers_begin, &places_[p].consumers_end);
+    append(&producer_lists[p], &places_[p].producers_begin, &places_[p].producers_end);
+  }
+
+  // --- Memo-key attribute slots per component ---------------------------
+  std::vector<bool> reads_all(num_components, false);
+  std::vector<std::vector<std::uint32_t>> slots(num_components);
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const TransitionSpec& spec = specs[t];
+    const std::uint32_t c = transitions_[t].component;
+    if (spec.delay_compiled == nullptr || (spec.guard && spec.guard_compiled == nullptr)) {
+      reads_all[c] = true;
+      continue;
+    }
+    for (const CompiledExpr* e : {spec.delay_compiled.get(), spec.guard_compiled.get()}) {
+      if (e != nullptr) {
+        slots[c].insert(slots[c].end(), e->used_slots().begin(), e->used_slots().end());
+      }
+    }
+  }
+  key_slots_.resize(num_components);
+  for (std::uint32_t c = 0; c < num_components; ++c) {
+    std::vector<std::uint32_t>& out = key_slots_[c];
+    if (reads_all[c]) {
+      for (std::uint32_t s = 0; s < net_->attr_names().size(); ++s) {
+        out.push_back(s);
+      }
+      continue;
+    }
+    out = std::move(slots[c]);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
   }
 
   // --- Structural hashes ------------------------------------------------

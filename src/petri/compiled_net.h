@@ -9,8 +9,10 @@
 //    transition, with the same-place consumed weight precomputed per
 //    output arc (the blocking-before-service capacity check becomes one
 //    subtraction instead of a nested scan);
-//  - a CSR watcher table (place → transitions to re-examine when the place
-//    changes) replacing the per-place watcher vectors;
+//  - two CSR watcher tables per place: its consumers (transitions with an
+//    input arc from it) and its producers (an output arc into it). The
+//    simulator re-examines consumers whenever the place's tokens change and
+//    producers only when a bounded place frees room (src/petri/sim.h);
 //  - the weakly-connected component partition of the net. Disconnected
 //    components (e.g. independent pipelines composed into one interface
 //    file) evolve independently, so they can be simulated — and their
@@ -78,7 +80,8 @@ class CompiledNet {
     // to key per-component memo entries independently of where the
     // component sits inside the full net.
     std::uint32_t local_index = 0;
-    std::uint32_t watch_begin = 0, watch_end = 0;  // range into watchers()
+    std::uint32_t consumers_begin = 0, consumers_end = 0;  // range into watchers()
+    std::uint32_t producers_begin = 0, producers_end = 0;  // range into watchers()
   };
 
   explicit CompiledNet(const PetriNet* net);
@@ -92,7 +95,8 @@ class CompiledNet {
   const std::vector<CompiledArc>& inputs() const { return inputs_; }
   const std::vector<CompiledArc>& outputs() const { return outputs_; }
   // Transition ids watching a place, sorted, addressed by the place's
-  // [watch_begin, watch_end) range.
+  // [consumers_begin, consumers_end) and [producers_begin, producers_end)
+  // ranges.
   const std::vector<std::uint32_t>& watchers() const { return watchers_; }
 
   // Weakly-connected components, numbered in order of first appearance
@@ -108,6 +112,13 @@ class CompiledNet {
   }
   // Hash of the whole net (all components combined); 0 if !hashable().
   std::uint64_t structural_hash() const { return hashable_ ? structural_hash_ : 0; }
+  // Token attribute slots one component's behavior can depend on, sorted:
+  // the slots its compiled delay and guard expressions read, or every
+  // schema slot when one of its transitions carries no compiled
+  // expression. The memo key (src/petri/pnet_memo.h) records exactly these.
+  const std::vector<std::uint32_t>& key_slots(std::size_t component) const {
+    return key_slots_[component];
+  }
 
  private:
   const PetriNet* net_;
@@ -117,6 +128,7 @@ class CompiledNet {
   std::vector<CompiledArc> outputs_;
   std::vector<std::uint32_t> watchers_;
   std::vector<std::uint64_t> component_hashes_;
+  std::vector<std::vector<std::uint32_t>> key_slots_;
   std::uint64_t structural_hash_ = 0;
   bool hashable_ = false;
 };

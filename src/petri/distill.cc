@@ -427,9 +427,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
       if (net.places()[place].component != component) {
         continue;
       }
-      for (int i = 0; i < count; ++i) {
-        sim.Inject(place, tk);
-      }
+      sim.Inject(place, tk, static_cast<std::size_t>(std::max(count, 0)));
     }
     if (!sim.Run(kProbeTimeHorizon)) {
       return refuse("a probe simulation did not quiesce");

@@ -53,8 +53,8 @@ using TokenRefs = SmallVec<const Token*, 8>;
 using DelayFn = std::function<Cycles(const TokenRefs&)>;
 
 // What a DelayFn returns for a token set its delay is undefined on
-// (negative, non-finite, or at least 1e15 cycles): the simulator then stops
-// the run cleanly instead of scheduling the firing
+// (negative, non-finite, at least 1e15 cycles, or failing to evaluate): the
+// simulator then stops the run cleanly instead of scheduling the firing
 // (PetriSim::delay_out_of_range).
 inline constexpr Cycles kBadDelay = std::numeric_limits<Cycles>::max();
 
@@ -66,24 +66,27 @@ using FireFn = std::function<void(const TokenRefs&, std::vector<std::vector<Toke
 // Enablement predicate over the front tokens; defaults to always-true.
 using GuardFn = std::function<bool(const TokenRefs&)>;
 
+// Every member has a default initializer, so the brace form used across
+// the tests ({name, inputs, outputs, servers, delay, fire, guard}) may stop
+// after any field without -Wmissing-field-initializers noise.
 struct TransitionSpec {
   std::string name;
-  std::vector<Arc> inputs;
-  std::vector<Arc> outputs;
+  std::vector<Arc> inputs = {};
+  std::vector<Arc> outputs = {};
   // Number of concurrent firings this transition supports (hardware
   // replication). 1 = a single-server pipeline stage.
   std::size_t servers = 1;
-  DelayFn delay;  // required
-  FireFn fire;    // optional
-  GuardFn guard;  // optional
+  DelayFn delay = {};  // required
+  FireFn fire = {};    // optional
+  GuardFn guard = {};  // optional
   // Source text of the delay/guard expressions when the closures were
   // compiled from a textual form (.pnet files). Optional, but load-bearing
   // for memoization: CompiledNet only assigns a structural hash — the key
   // cross-request sub-net memoization is allowed to use — when every
   // closure's behavior is pinned down by source text (an opaque C++ lambda
   // cannot be compared across nets, so nets carrying one are unhashable).
-  std::string delay_expr;
-  std::string guard_expr;
+  std::string delay_expr = {};
+  std::string guard_expr = {};
   // The compiled expressions behind the closures, when they came from a
   // textual form. Setting one is a contract about the matching closure:
   // delay_compiled asserts that `delay` is exactly "evaluate the expression
@@ -92,9 +95,11 @@ struct TransitionSpec {
   // simulator uses them to classify transitions at net-compile time
   // (constant guards, constant delays) and to serve firings without
   // entering the std::function at all — the fast paths must stay
-  // bit-identical to the closures they bypass.
-  std::shared_ptr<const CompiledExpr> delay_compiled;
-  std::shared_ptr<const CompiledExpr> guard_compiled;
+  // bit-identical to the closures they bypass. It also memoizes them per
+  // primary token (they are pure), and stops the run with an error naming
+  // the transition when one fails to evaluate (PetriSim::expr_error).
+  std::shared_ptr<const CompiledExpr> delay_compiled = {};
+  std::shared_ptr<const CompiledExpr> guard_compiled = {};
 };
 
 class PetriNet {

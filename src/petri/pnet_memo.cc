@@ -1,7 +1,11 @@
 #include "src/petri/pnet_memo.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
+#include "src/common/check.h"
+#include "src/common/small_vec.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 
@@ -38,33 +42,30 @@ PnetMemoTable::~PnetMemoTable() {
   obs::MetricsRegistry::Global().Unregister(metrics_collector_);
 }
 
+namespace {
+
+template <typename T>
+void AppendRaw(std::string* key, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  key->append(bytes, sizeof(T));
+}
+
+}  // namespace
+
 std::string PnetMemoTable::Key(const CompiledNet& net, std::size_t component, const Token& token,
                                const std::vector<std::pair<PlaceId, int>>& injections) {
   if (!net.hashable()) {
     return std::string();
   }
+  const std::vector<std::uint32_t>& slots = net.key_slots(component);
   std::string key;
-  key.reserve(64);
-  key += StrFormat("%016llx",
-                   static_cast<unsigned long long>(net.component_hash(component)));
-
-  // Attributes labeled by schema name, sorted by name: two nets declaring
-  // the same attributes in different orders still share entries. %.17g
-  // round-trips doubles exactly, so distinct workloads never alias.
-  const std::vector<std::string>& names = net.source().attr_names();
-  std::vector<std::size_t> order(names.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(),
-            [&names](std::size_t a, std::size_t b) { return names[a] < names[b]; });
-  for (const std::size_t slot : order) {
-    key += '\x1f';
-    key += names[slot];
-    key += StrFormat("=%.17g", token.Attr(slot));
-  }
-
+  key.reserve(12 + 8 * (slots.size() + injections.size()));
+  AppendRaw(&key, net.component_hash(component));
   AppendCanonicalPlan(net, component, injections, &key);
+  for (const std::uint32_t slot : slots) {
+    AppendRaw(&key, std::bit_cast<std::uint64_t>(token.Attr(slot)));
+  }
   return key;
 }
 
@@ -75,25 +76,29 @@ void PnetMemoTable::AppendCanonicalPlan(const CompiledNet& net, std::size_t comp
   // index, count) pairs: the same sub-net keyed identically no matter
   // where it sits inside the enclosing net. All injected tokens carry the
   // same attributes, so per-place counts fully describe the plan.
-  std::vector<std::pair<std::uint32_t, long long>> plan;
+  SmallVec<std::pair<std::uint32_t, std::uint64_t>, 8> plan;
   for (const auto& [place, count] : injections) {
     const CompiledNet::PlaceInfo& info = net.places()[place];
-    if (info.component != component) {
-      continue;
+    if (info.component != component || count <= 0) {
+      continue;  // a count below 1 injects nothing
     }
-    plan.emplace_back(info.local_index, static_cast<long long>(count));
+    plan.push_back({info.local_index, static_cast<std::uint64_t>(count)});
   }
   std::sort(plan.begin(), plan.end());
   // Merge duplicate places (the same place listed twice injects the sum).
+  std::size_t merged = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (i > 0 && plan[i].first == plan[i - 1].first) {
-      continue;
+    if (merged > 0 && plan[merged - 1].first == plan[i].first) {
+      plan[merged - 1].second += plan[i].second;
+    } else {
+      plan[merged++] = plan[i];
     }
-    long long count = plan[i].second;
-    for (std::size_t j = i + 1; j < plan.size() && plan[j].first == plan[i].first; ++j) {
-      count += plan[j].second;
-    }
-    *key += StrFormat("\x1f@%u:%lld", plan[i].first, count);
+  }
+  AppendRaw(key, static_cast<std::uint32_t>(merged));
+  for (std::size_t i = 0; i < merged; ++i) {
+    PI_CHECK(plan[i].second <= UINT32_MAX);
+    AppendRaw(key, plan[i].first);
+    AppendRaw(key, static_cast<std::uint32_t>(plan[i].second));
   }
 }
 

@@ -8,8 +8,9 @@
 // component's structural hash (src/petri/compiled_net.h), not the net or
 // interface name, so a component reused by two interfaces shares entries.
 //
-// Key = (component structural hash, canonicalized token attributes,
-// injection plan). Values only ever come from runs that quiesced, and a
+// Key = (component structural hash, injection plan, the bit patterns of the
+// token attributes the component reads), as fixed-width binary fields.
+// Values only ever come from runs that quiesced, and a
 // stored result also remembers how many firings the run took: a lookup
 // only hits when the stored firing count fits the caller's remaining
 // budget, so memoized and unmemoized evaluation report identical statuses
@@ -52,18 +53,25 @@ class PnetMemoTable {
   explicit PnetMemoTable(std::size_t capacity = 1 << 16, std::size_t num_shards = 16);
   ~PnetMemoTable();
 
-  // Canonical key for one component evaluation: component hash, the
-  // token's attribute values labeled by schema name (sorted by name, so
-  // schema declaration order is irrelevant), and the injection plan as
-  // sorted (component-local place index, count) pairs. Returns empty if
-  // the net is unhashable — unhashable nets must not be memoized.
+  // Canonical key for one component evaluation, in native byte order:
+  //
+  //   u64 component_hash(component)
+  //   plan: u32 pair count, then (u32 local place index, u32 count) pairs
+  //   u64 bit pattern of token.Attr(s) for each s in key_slots(component)
+  //
+  // The plan is the injections restricted to `component`, sorted by local
+  // index with duplicate places merged. The attribute section needs no
+  // names: every field before it has a known width, and the component
+  // hash fixes which slots the component reads (its expression text is
+  // slot-resolved), so equal keys mean equal simulations. Values are bit
+  // patterns, not hashes, so distinct workloads never alias. Returns
+  // empty if the net is unhashable — unhashable nets must not be memoized.
   static std::string Key(const CompiledNet& net, std::size_t component, const Token& token,
                          const std::vector<std::pair<PlaceId, int>>& injections);
 
-  // The key's injection-plan section alone: the plan restricted to
-  // `component`, as sorted, duplicate-merged "\x1f@local:count" items.
-  // Shared with the derived store (src/petri/distill.h), whose model
-  // identity is exactly this key minus the attributes.
+  // The key's injection-plan section alone. Shared with the derived store
+  // (src/petri/distill.h), whose model identity is exactly this key minus
+  // the attributes.
   static void AppendCanonicalPlan(const CompiledNet& net, std::size_t component,
                                   const std::vector<std::pair<PlaceId, int>>& injections,
                                   std::string* key);

@@ -168,6 +168,14 @@ EntryPlan ParseEntryPlan(const PredictRequest& req) {
 }
 
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved) {
+  if (resolved == Representation::kPnet) {
+    return CanonicalCacheKey(req, resolved, ParseEntryPlan(req));
+  }
+  return CanonicalCacheKey(req, resolved, EntryPlan{});
+}
+
+std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                              const EntryPlan& plan) {
   PI_CHECK(resolved != Representation::kAuto);
   std::string key;
   key.reserve(64 + 24 * req.attrs.size());
@@ -178,7 +186,6 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   if (resolved == Representation::kProgram) {
     key += req.function;
   } else {
-    const EntryPlan plan = ParseEntryPlan(req);
     if (plan.first_place) {
       // Empty spec means "first declared place, `tokens` copies" — the
       // count is the only degree of freedom left. Its own tag: the spec

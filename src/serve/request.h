@@ -198,6 +198,10 @@ EntryPlan ParseEntryPlan(const PredictRequest& req);
 // Resource limits are deliberately excluded: the cache stores ground-truth
 // predictions, and limits only bound *evaluation* cost.
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved);
+// Same, for a caller that already holds ParseEntryPlan(req); `plan` is
+// read only when `resolved` is kPnet.
+std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                              const EntryPlan& plan);
 
 }  // namespace perfiface::serve
 

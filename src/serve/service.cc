@@ -550,6 +550,7 @@ PredictionService::BatchHandle PredictionService::SubmitBatch(
 void PredictionService::WorkerLoop() {
   WorkerState state;
   state.vms.resize(entries_.size());
+  state.sims.resize(entries_.size());
   Job job;
   for (;;) {
     {
@@ -779,7 +780,10 @@ bool PredictionService::Probe(const PredictRequest& request, Clock::time_point s
         StrFormat("'%s' ships no Petri-net interface", request.interface.c_str()));
   }
 
-  std::string key = CanonicalCacheKey(request, rep);
+  if (rep == Representation::kPnet) {
+    probed->plan = ParseEntryPlan(request);
+  }
+  std::string key = CanonicalCacheKey(request, rep, probed->plan);
   CachedPrediction cached;
   if (cache_.Get(key, &cached)) {
     outcome.cache = CacheOutcome::kHit;
@@ -832,7 +836,8 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request, const
       probed.rep == Representation::kProgram
           ? EvaluateProgram(request, entry, probed.entry, budget, outcome.deadline_limited,
                             state, &outcome.detail)
-          : EvaluatePnet(request, entry, budget, outcome.deadline_limited, &outcome.detail);
+          : EvaluatePnet(request, probed.plan, entry, probed.entry, budget,
+                         outcome.deadline_limited, state, &outcome.detail);
   if (response.ok()) {
     // JSON has no inf/nan, and no latency or throughput is infinite or
     // negative: an interface driven outside its domain (say orig_size=-1)
@@ -916,19 +921,20 @@ PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request
   return response;
 }
 
-PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                                                std::uint64_t budget, bool deadline_limited,
+PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request,
+                                                const EntryPlan& plan, const Entry& entry,
+                                                std::size_t entry_idx, std::uint64_t budget,
+                                                bool deadline_limited, WorkerState* state,
                                                 EvalDetail* detail) {
   PredictResponse response;
   detail->representation = "pnet";
   const PetriNet& net = *entry.pnet.net;
   const CompiledNet& cnet = *entry.compiled;
 
-  // Resolve the injection plan (ParseEntryPlan, the parser the cache key
-  // uses) against this net. Nothing is injected until the whole plan is
-  // known to be well formed, within kMaxInjectedTokens, and bound to
-  // places the net declares.
-  const EntryPlan plan = ParseEntryPlan(request);
+  // Resolve the injection plan (the probe's ParseEntryPlan, which the cache
+  // key also used) against this net. Nothing is injected until the whole
+  // plan is known to be well formed, within kMaxInjectedTokens, and bound
+  // to places the net declares.
   if (!plan.malformed.empty()) {
     response.status = PredictStatus::kError;
     response.error =
@@ -967,10 +973,27 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     }
   }
 
+  // One sim per (worker, net), never shared across threads; each run
+  // below resets it to the component it evaluates.
+  std::unique_ptr<PetriSim>& sim_slot = state->sims[entry_idx];
+  if (sim_slot == nullptr) {
+    sim_slot = std::make_unique<PetriSim>(&cnet);
+  }
+  PetriSim& sim = *sim_slot;
+  // Runs `component` (or the whole net) from the initial marking.
+  const auto simulate = [&](std::size_t component, std::uint64_t max_firings) {
+    sim.Reset(component);
+    sim.set_max_firings(max_firings);
+    for (const auto& [place, count] : injections) {
+      if (component == PetriSim::kAllComponents || cnet.places()[place].component == component) {
+        sim.Inject(place, token, static_cast<std::size_t>(count));
+      }
+    }
+    return sim.Run(kPnetRunBudget);
+  };
+
   Cycles value = 0;
   bool quiesced = true;
-  bool firing_budget_hit = false;
-  bool delay_out_of_range = false;
 
   if (options_.enable_pnet_memo && cnet.hashable()) {
     // Weakly-connected components share no places, so they evolve
@@ -1029,23 +1052,11 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         }
       }
       if (!hit) {
-        PetriSim sim(&cnet, c);
-        sim.set_max_firings(remaining);
-        for (const auto& [place, count] : injections) {
-          if (cnet.places()[place].component != c) {
-            continue;
-          }
-          for (int i = 0; i < count; ++i) {
-            sim.Inject(place, token);
-          }
-        }
-        const bool q = sim.Run(kPnetRunBudget);
+        const bool q = simulate(c, remaining);
         result.quiesce_time = sim.now();
         result.firings = sim.total_firings();
         if (!q) {
           quiesced = false;
-          firing_budget_hit = sim.firing_budget_exhausted();
-          delay_out_of_range = sim.delay_out_of_range();
           break;
         }
         // Only quiesced results enter the table (pnet_memo.h contract).
@@ -1064,32 +1075,24 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   } else {
     // Memo off (or net unhashable: opaque C++ closures): one whole-net
     // run over the shared pre-compiled form.
-    PetriSim sim(&cnet);
-    sim.set_max_firings(budget);
-    for (const auto& [place, count] : injections) {
-      for (int i = 0; i < count; ++i) {
-        sim.Inject(place, token);
-      }
-    }
-    quiesced = sim.Run(kPnetRunBudget);
-    firing_budget_hit = sim.firing_budget_exhausted();
-    delay_out_of_range = sim.delay_out_of_range();
+    quiesced = simulate(PetriSim::kAllComponents, budget);
     value = sim.now();
     detail->steps = sim.total_firings();
   }
 
-  if (delay_out_of_range) {
-    // The workload, not the budget, stopped the run: an error, and (like
-    // every unquiesced run) never memoized or cached.
-    response.status = PredictStatus::kError;
-    response.error = "delay out of range";
-    return response;
-  }
   if (!quiesced) {
+    // Only the last run can have stopped, and the sim still holds its
+    // state. Nothing unquiesced is memoized or cached.
+    if (!sim.expr_error().empty() || sim.delay_out_of_range()) {
+      // The workload, not the budget, stopped the run: an error.
+      response.status = PredictStatus::kError;
+      response.error = sim.expr_error().empty() ? "delay out of range" : sim.expr_error();
+      return response;
+    }
     response.status =
         deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
-    response.error = firing_budget_hit ? "net firing budget exhausted"
-                                       : "net did not quiesce within the time horizon";
+    response.error = sim.firing_budget_exhausted() ? "net firing budget exhausted"
+                                                   : "net did not quiesce within the time horizon";
     return response;
   }
   response.status = PredictStatus::kOk;

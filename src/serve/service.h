@@ -48,6 +48,7 @@
 #include "src/obs/trace.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
+#include "src/petri/sim.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
@@ -234,8 +235,9 @@ class PredictionService {
   struct Probed {
     std::size_t entry = 0;  // index into entries_
     Representation rep = Representation::kAuto;
-    std::string key;       // CanonicalCacheKey(request, rep)
+    std::string key;       // CanonicalCacheKey(request, rep, plan)
     std::string trace_id;  // the client's, or minted by the probe
+    EntryPlan plan;        // kPnet only: ParseEntryPlan(request), parsed once
   };
 
   // Completion state shared between a batch submitter and the workers.
@@ -275,10 +277,12 @@ class PredictionService {
     Clock::time_point enqueued{};
   };
 
-  // Per-worker evaluation state: one bytecode Vm per program, created
-  // lazily and reused across requests (Call resets per-call state).
+  // Per-worker evaluation state: one bytecode Vm per program and one
+  // PetriSim per compiled net, created lazily and reused across requests
+  // (Call resets per-call state; Reset keeps the sim's buffers).
   struct WorkerState {
-    std::vector<std::unique_ptr<Vm>> vms;  // by entry index
+    std::vector<std::unique_ptr<Vm>> vms;         // by entry index
+    std::vector<std::unique_ptr<PetriSim>> sims;  // by entry index
   };
 
   // Evaluation-path facts threaded out of EvaluateProgram/EvaluatePnet so
@@ -355,8 +359,9 @@ class PredictionService {
   PredictResponse EvaluateProgram(const PredictRequest& request, const Entry& entry,
                                   std::size_t entry_idx, std::uint64_t budget,
                                   bool deadline_limited, WorkerState* state, EvalDetail* detail);
-  PredictResponse EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                               std::uint64_t budget, bool deadline_limited, EvalDetail* detail);
+  PredictResponse EvaluatePnet(const PredictRequest& request, const EntryPlan& plan,
+                               const Entry& entry, std::size_t entry_idx, std::uint64_t budget,
+                               bool deadline_limited, WorkerState* state, EvalDetail* detail);
 
   ServiceOptions options_;
   std::vector<Entry> entries_;

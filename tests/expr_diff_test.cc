@@ -1,5 +1,5 @@
 // Differential equivalence for the unified expression IR: the register
-// bytecode a CompiledExpr runs (Eval / EvalChecked, with constant folding
+// bytecode a CompiledExpr runs (EvalChecked, with constant folding
 // and the shared superinstruction peephole) must be observably identical
 // to the postfix ops it was lowered from — bit-exact doubles, including
 // the NaN produced, and byte-identical error strings. The oracle here is a
@@ -136,9 +136,7 @@ EvalResult EvalCanonical(const std::string& canonical, const std::vector<double>
 }
 
 // Asserts the oracle and the register code agree on one attribute vector:
-// same ok flag, byte-identical error, bit-exact value. When the checked
-// form succeeds, the aborting form is also exercised (it is the one the
-// simulator hot loop calls).
+// same ok flag, byte-identical error, bit-exact value.
 void ExpectSame(const CompiledExpr& expr, const std::vector<double>& attrs,
                 const std::string& what) {
   const auto slot = [&attrs](std::uint32_t s) {
@@ -153,7 +151,6 @@ void ExpectSame(const CompiledExpr& expr, const std::vector<double>& attrs,
   }
   EXPECT_TRUE(BitEqual(oracle.Num(), regs.Num()))
       << what << ": oracle=" << oracle.Num() << " regs=" << regs.Num();
-  EXPECT_TRUE(BitEqual(oracle.Num(), expr.Eval(slot))) << what;
 }
 
 TEST(ExprDiff, ShippedNetExpressionsAgree) {
@@ -285,7 +282,7 @@ TEST(ExprDiff, MinMaxOrderSignedZeros) {
     std::string error;
     const auto expr = CompiledExpr::CompileSource(c.source, slot_binder, &error);
     ASSERT_NE(expr, nullptr) << c.source << ": " << error;
-    const double got = expr->Eval([&c](std::uint32_t s) { return c.attrs[s]; });
+    const double got = expr->EvalChecked([&c](std::uint32_t s) { return c.attrs[s]; }).Num();
     EXPECT_EQ(got, 0.0) << c.source;
     EXPECT_EQ(std::signbit(got), c.negative) << c.source << " a0=" << c.attrs[0];
     ExpectSame(*expr, c.attrs, c.source);

@@ -1187,6 +1187,35 @@ TEST(NetServer, OutOfRangeDelayEarnsErrorLineAndServerSurvives) {
   EXPECT_EQ(body, "ok\n");
 }
 
+// Regression: bits=0 divides by zero in the jpeg vld delay, and this frame
+// aborted the server (an unchecked expression evaluation in the simulator).
+// It now earns an ERROR line naming the failure, and /healthz stays up.
+TEST(NetServer, FailingDelayExpressionEarnsErrorLineAndServerSurvives) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  ASSERT_TRUE(client.SendRaw(
+      "{\"id\":1,\"requests\":{\"interface\":\"jpeg_decoder\",\"rep\":\"pnet\","
+      "\"entry_place\":\"hdr_in:1,vld_in:1\",\"attrs\":{\"bits\":0,\"blocks\":8}}}\n",
+      &error))
+      << error;
+  WireResponse wire;
+  ASSERT_TRUE(client.ReadResponse(&wire, &error)) << error;
+  EXPECT_FALSE(wire.malformed);
+  EXPECT_EQ(wire.id, 1u);
+  EXPECT_EQ(wire.response.status, PredictStatus::kError);
+  EXPECT_EQ(wire.response.error, "division by zero in delay of transition 'vld'");
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet("127.0.0.1", ts.server.port(), "/healthz", &status, &body, &error))
+      << error;
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+}
+
 // Regression: a non-finite value or throughput went out as a bare `inf` or
 // `nan`, which no JSON parser accepts. The encoder writes null instead.
 TEST(WireCodec, NonFiniteNumbersEncodeAsNull) {

@@ -264,7 +264,7 @@ TEST(CompiledExpr, BindsVariables) {
       },
       &error);
   ASSERT_NE(expr, nullptr) << error;
-  EXPECT_DOUBLE_EQ(expr->Eval([](std::uint32_t) { return 52.0; }), 3 * 60 + 4);
+  EXPECT_DOUBLE_EQ(expr->EvalChecked([](std::uint32_t) { return 52.0; }).Num(), 3 * 60 + 4);
 }
 
 TEST(CompiledExpr, UnknownVariableFails) {

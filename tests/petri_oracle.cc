@@ -1,0 +1,353 @@
+#include "tests/petri_oracle.h"
+
+#include <algorithm>
+#include <cmath>
+#include <string_view>
+
+#include "src/common/check.h"
+#include "src/common/strings.h"
+#include "src/perfscript/compile.h"
+
+namespace perfiface {
+
+namespace {
+
+// "line 1: division by zero" from EvalChecked becomes "division by zero in
+// delay of transition 'vld'".
+std::string ExprError(const std::string& error, const char* what, const std::string& name) {
+  std::string_view cause = error;
+  const std::size_t colon = cause.find(": ");
+  if (StartsWith(cause, "line ") && colon != std::string_view::npos) {
+    cause.remove_prefix(colon + 2);
+  }
+  return StrFormat("%.*s in %s of transition '%s'", static_cast<int>(cause.size()), cause.data(),
+                   what, name.c_str());
+}
+
+}  // namespace
+
+PetriOracle::PetriOracle(const PetriNet* net)
+    : owned_(std::make_unique<CompiledNet>(net)), cnet_(owned_.get()) {
+  Reset();
+}
+
+PetriOracle::PetriOracle(const CompiledNet* compiled, std::size_t component)
+    : cnet_(compiled), component_(component) {
+  PI_CHECK(cnet_ != nullptr);
+  PI_CHECK(component_ == kAllComponents || component_ < cnet_->num_components());
+  Reset();
+}
+
+void PetriOracle::Reset() {
+  now_ = 0;
+  seq_ = 0;
+  total_firings_ = 0;
+  budget_exhausted_ = false;
+  delay_out_of_range_ = false;
+  expr_error_.clear();
+  // Preserve which places are instrumented across resets; only markings,
+  // logs and in-flight firings are cleared.
+  std::vector<bool> observed(cnet_->num_places(), false);
+  for (std::size_t i = 0; i < places_.size(); ++i) {
+    observed[i] = places_[i].observed;
+  }
+  places_.clear();
+  places_.resize(cnet_->num_places());
+  for (std::size_t i = 0; i < places_.size(); ++i) {
+    places_[i].observed = observed[i];
+    for (std::size_t k = 0; k < cnet_->places()[i].initial_tokens; ++k) {
+      places_[i].tokens.push_back(Token{});
+    }
+  }
+  busy_servers_.assign(cnet_->num_transitions(), 0);
+  events_.clear();
+  slab_.clear();
+  free_slots_.clear();
+  // A component-restricted sim seeds the worklist with that component's
+  // transitions only; TryStart additionally refuses out-of-component
+  // firings (tokens injected into a foreign component's place would
+  // otherwise re-mark its watchers).
+  pending_.assign(cnet_->num_transitions(), false);
+  for (std::size_t t = 0; t < cnet_->num_transitions(); ++t) {
+    if (component_ == kAllComponents || cnet_->transitions()[t].component == component_) {
+      pending_[t] = true;
+    }
+  }
+}
+
+void PetriOracle::Inject(PlaceId place, Token token) {
+  PI_CHECK(place < places_.size());
+  token.injected_at = now_;
+  Deposit(place, std::move(token));
+}
+
+void PetriOracle::Observe(PlaceId place) {
+  PI_CHECK(place < places_.size());
+  places_[place].observed = true;
+}
+
+const std::vector<Arrival>& PetriOracle::arrivals(PlaceId place) const {
+  PI_CHECK(place < places_.size());
+  return places_[place].log;
+}
+
+std::size_t PetriOracle::tokens_at(PlaceId place) const {
+  PI_CHECK(place < places_.size());
+  return places_[place].tokens.size();
+}
+
+void PetriOracle::MarkTransition(TransitionId t) { pending_[t] = true; }
+
+void PetriOracle::MarkPlaceChanged(PlaceId place) {
+  const CompiledNet::PlaceInfo& info = cnet_->places()[place];
+  const std::vector<std::uint32_t>& watchers = cnet_->watchers();
+  for (std::uint32_t w = info.consumers_begin; w < info.consumers_end; ++w) {
+    pending_[watchers[w]] = true;
+  }
+  for (std::uint32_t w = info.producers_begin; w < info.producers_end; ++w) {
+    pending_[watchers[w]] = true;
+  }
+}
+
+void PetriOracle::Deposit(PlaceId place, Token token) {
+  PlaceState& ps = places_[place];
+  if (ps.observed) {
+    ps.log.push_back(Arrival{now_, token});
+  }
+  ps.tokens.push_back(std::move(token));
+  MarkPlaceChanged(place);
+}
+
+bool PetriOracle::TryStart(TransitionId t) {
+  const CompiledNet::Transition& trans = cnet_->transitions()[t];
+  // Component restriction is enforced here, not only at Reset: injecting
+  // into another component's place marks its watchers pending, and those
+  // must still never fire.
+  if (component_ != kAllComponents && trans.component != component_) {
+    return false;
+  }
+  if (budget_exhausted_ || delay_out_of_range_ || !expr_error_.empty() ||
+      busy_servers_[t] >= trans.servers) {
+    return false;
+  }
+  const std::vector<CompiledNet::CompiledArc>& in_arcs = cnet_->inputs();
+  const std::vector<CompiledNet::CompiledArc>& out_arcs = cnet_->outputs();
+
+  // Check input availability and collect front-token refs for the guard.
+  TokenRefs refs;
+  for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
+    if (places_[in_arcs[i].place].tokens.size() < in_arcs[i].weight) {
+      return false;
+    }
+  }
+  for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
+    for (std::uint32_t k = 0; k < in_arcs[i].weight; ++k) {
+      refs.push_back(&places_[in_arcs[i].place].tokens[k]);
+    }
+  }
+  // Guard, via the cheapest route the compile-time classification allows:
+  // the folded value of a constant guard, the loader's compiled expression
+  // evaluated in place (same front token, same attrs as its closure), or
+  // the closure of a net built in C++.
+  if (trans.guard_const) {
+    if (!trans.guard_value) {
+      return false;
+    }
+  } else if (trans.guard_code != nullptr) {
+    const Token* primary = refs.front();
+    const EvalResult g = trans.guard_code->EvalChecked(
+        [primary](std::uint32_t slot) { return primary->Attr(slot); });
+    if (!g.ok) {
+      expr_error_ = ExprError(g.error, "guard", cnet_->source().transitions()[t].name);
+      return false;
+    }
+    if (g.value.num == 0.0) {
+      return false;
+    }
+  } else if (trans.guard != nullptr && !(*trans.guard)(refs)) {
+    return false;
+  }
+
+  // Check output room (blocking-before-service). Consumption by this firing
+  // from places on both sides was precomputed at compile time.
+  if (trans.has_bounded_output) {
+    for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+      const CompiledNet::CompiledArc& out = out_arcs[i];
+      const std::uint32_t capacity = cnet_->places()[out.place].capacity;
+      if (capacity == 0) {
+        continue;
+      }
+      const PlaceState& ps = places_[out.place];
+      const std::size_t occupied = ps.tokens.size() + ps.reserved - out.consumed_from_place;
+      if (occupied + out.weight > capacity) {
+        return false;
+      }
+    }
+  }
+
+  // Compute delay while the token refs are still valid. Constant delays
+  // were pre-validated and rounded at net-compile time; compiled delays
+  // repeat the loader closure's exact range check and rounding.
+  Cycles delay;
+  if (trans.delay_const) {
+    delay = trans.const_delay;
+  } else if (trans.delay_code != nullptr) {
+    const Token* primary = refs.front();
+    const EvalResult r = trans.delay_code->EvalChecked(
+        [primary](std::uint32_t slot) { return primary->Attr(slot); });
+    if (!r.ok) {
+      expr_error_ = ExprError(r.error, "delay", cnet_->source().transitions()[t].name);
+      return false;
+    }
+    const double v = r.value.num;
+    delay = v >= 0 && v < 1e15 ? static_cast<Cycles>(std::llround(v)) : kBadDelay;
+  } else {
+    delay = (*trans.delay)(refs);
+  }
+  if (delay == kBadDelay) {
+    // Clean stop, like the firing budget: the workload (say, a negative or
+    // NaN attribute) drove a delay expression out of range. Nothing is
+    // consumed, and Run() reports the stop through its return value.
+    delay_out_of_range_ = true;
+    return false;
+  }
+
+  // Consume inputs into a scheduled slab slot.
+  Firing& f = ScheduleFiring(now_ + delay);
+  f.transition = t;
+  f.consumed.resize(0);
+  for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
+    PlaceState& ps = places_[in_arcs[i].place];
+    for (std::uint32_t k = 0; k < in_arcs[i].weight; ++k) {
+      f.consumed.push_back(std::move(ps.tokens.front()));
+      ps.tokens.pop_front();
+    }
+    // Popping frees capacity: upstream producers may become enabled.
+    MarkPlaceChanged(in_arcs[i].place);
+  }
+
+  // Reserve output room.
+  for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+    places_[out_arcs[i].place].reserved += out_arcs[i].weight;
+  }
+
+  ++busy_servers_[t];
+  ++total_firings_;
+  if (total_firings_ >= max_firings_) {
+    // Clean stop, not an abort: callers serving untrusted nets (the
+    // prediction service) must be able to reject a pathological net
+    // (zero-delay loop, unbounded token growth) without taking down the
+    // process. Run() reports the truncation through its return value.
+    budget_exhausted_ = true;
+  }
+  return true;
+}
+
+void PetriOracle::StartAll() {
+  // Deterministic worklist: always service the lowest-id pending transition,
+  // which reproduces the firing order of a full in-order rescan.
+  for (;;) {
+    TransitionId next = pending_.size();
+    for (TransitionId t = 0; t < pending_.size(); ++t) {
+      if (pending_[t]) {
+        next = t;
+        break;
+      }
+    }
+    if (next == pending_.size()) {
+      return;
+    }
+    pending_[next] = false;
+    while (TryStart(next)) {
+    }
+  }
+}
+
+void PetriOracle::Complete(const Firing& f) {
+  const CompiledNet::Transition& trans = cnet_->transitions()[f.transition];
+  const std::vector<CompiledNet::CompiledArc>& out_arcs = cnet_->outputs();
+  const char* trans_name = cnet_->source().transitions()[f.transition].name.c_str();
+
+  if (trans.fire != nullptr) {
+    TokenRefs refs;
+    for (const Token& tok : f.consumed) {
+      refs.push_back(&tok);
+    }
+    const std::size_t num_outputs = trans.out_end - trans.out_begin;
+    std::vector<std::vector<Token>> outputs(num_outputs);
+    (*trans.fire)(refs, outputs);
+    for (std::size_t i = 0; i < num_outputs; ++i) {
+      const CompiledNet::CompiledArc& out = out_arcs[trans.out_begin + i];
+      PI_CHECK_MSG(outputs[i].size() == out.weight, trans_name);
+      PI_CHECK(places_[out.place].reserved >= out.weight);
+      places_[out.place].reserved -= out.weight;
+      for (Token& tok : outputs[i]) {
+        // Preserve the primary input's injection stamp unless the FireFn
+        // produced fresh tokens (injected_at == 0 default): latency
+        // measurement follows the primary path.
+        if (!f.consumed.empty() && tok.injected_at == 0) {
+          tok.injected_at = f.consumed.front().injected_at;
+        }
+        Deposit(out.place, std::move(tok));
+      }
+    }
+  } else {
+    // Default: replicate the primary (first) input token, allocation-free.
+    PI_CHECK_MSG(!f.consumed.empty(), trans_name);
+    const Token& primary = f.consumed.front();
+    for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+      const CompiledNet::CompiledArc& out = out_arcs[i];
+      PI_CHECK(places_[out.place].reserved >= out.weight);
+      places_[out.place].reserved -= out.weight;
+      for (std::uint32_t k = 0; k < out.weight; ++k) {
+        Deposit(out.place, primary);
+      }
+    }
+  }
+
+  PI_CHECK(busy_servers_[f.transition] > 0);
+  --busy_servers_[f.transition];
+  // A freed server may allow the next firing of this transition.
+  MarkTransition(f.transition);
+}
+
+PetriOracle::Firing& PetriOracle::ScheduleFiring(Cycles complete_at) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  events_.push_back(EventRef{complete_at, seq_++, slot});
+  std::push_heap(events_.begin(), events_.end(), FiringOrder());
+  return slab_[slot];
+}
+
+bool PetriOracle::Run(Cycles max_time) {
+  for (;;) {
+    StartAll();
+    if (delay_out_of_range_ || !expr_error_.empty() || budget_exhausted_) {
+      return false;
+    }
+    if (events_.empty()) {
+      return true;
+    }
+    const Cycles t = events_.front().complete_at;
+    if (t > max_time) {
+      now_ = max_time;
+      return false;
+    }
+    now_ = t;
+    while (!events_.empty() && events_.front().complete_at == now_) {
+      std::pop_heap(events_.begin(), events_.end(), FiringOrder());
+      const std::uint32_t slot = events_.back().slot;
+      events_.pop_back();
+      Complete(slab_[slot]);
+      free_slots_.push_back(slot);
+    }
+  }
+}
+
+}  // namespace perfiface

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/pnet.h"
 #include "src/obs/trace.h"
 #include "src/petri/analysis.h"
 #include "src/petri/compiled_net.h"
@@ -475,6 +476,63 @@ TEST(PnetMemo, KeyMergesAndCanonicalizesInjections) {
   EXPECT_NE(key, PnetMemoTable::Key(cnet, 1, token, {{b_in, 4}, {b_mid, 1}}));
   // The same plan keys other components differently (component hash).
   EXPECT_NE(key, PnetMemoTable::Key(cnet, 0, token, {{b_mid, 1}, {b_in, 5}}));
+}
+
+// Two nets whose only difference is the attribute declaration order: the
+// delay reads slot 0, which is `b` in one and `a` in the other, so the
+// component hashes (slot-resolved text, names excluded) are equal while
+// the simulations differ. Keys record the slots the component reads, in
+// slot order, so they must differ too; a key by sorted attribute name
+// would alias them (a=1, b=2 in both).
+TEST(PnetMemo, KeyFollowsSlotsNotNames) {
+  const LoadedNet a = LoadPnet(
+      "net a\nattr b\nattr a\nplace in\nplace out\ntrans t in=in out=out delay=\"b\"\n");
+  const LoadedNet b = LoadPnet(
+      "net b\nattr a\nattr b\nplace in\nplace out\ntrans t in=in out=out delay=\"a\"\n");
+  ASSERT_TRUE(a.ok() && b.ok()) << a.error << b.error;
+  const CompiledNet ca(a.net.get());
+  const CompiledNet cb(b.net.get());
+  ASSERT_EQ(ca.component_hash(0), cb.component_hash(0));
+  Token ta;  // a=1, b=2 in net a's slot order
+  ta.attrs = {2, 1};
+  Token tb;  // a=1, b=2 in net b's slot order
+  tb.attrs = {1, 2};
+  EXPECT_NE(PnetMemoTable::Key(ca, 0, ta, {{0, 1}}), PnetMemoTable::Key(cb, 0, tb, {{0, 1}}));
+
+  // An attribute no expression of the component reads is not keyed.
+  EXPECT_EQ(ca.key_slots(0), std::vector<std::uint32_t>{0});
+  Token other = ta;
+  other.attrs[1] = 99;
+  EXPECT_EQ(PnetMemoTable::Key(ca, 0, ta, {{0, 1}}), PnetMemoTable::Key(ca, 0, other, {{0, 1}}));
+  // Keys are bit patterns: +0 and -0 key apart.
+  Token zero;
+  zero.attrs = {0.0, 0.0};
+  Token neg_zero;
+  neg_zero.attrs = {-0.0, 0.0};
+  EXPECT_NE(PnetMemoTable::Key(ca, 0, zero, {{0, 1}}), PnetMemoTable::Key(ca, 0, neg_zero, {{0, 1}}));
+}
+
+// The binary key is fixed width: 8 (hash) + 4 (pair count) + 8 per plan
+// pair + 8 per keyed attribute. For the service's jpeg shape that is 44
+// bytes, below the text key it replaced ("%016llx", then "\x1fname=%.17g"
+// per attribute and "\x1f@local:count" per pair: 49 bytes here).
+TEST(PnetMemo, KeyIsFixedWidth) {
+  const LoadedNet loaded =
+      LoadPnetFile(std::string(PERFIFACE_SOURCE_DIR) + "/src/core/interfaces/jpeg.pnet");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet cnet(loaded.net.get());
+  const PetriNet& net = *loaded.net;
+  Token token;
+  token.attrs.assign(net.attr_names().size(), 0.0);
+  token.attrs[net.FindAttr("bits")] = 123456;
+  token.attrs[net.FindAttr("blocks")] = 8;
+  const std::string key = PnetMemoTable::Key(
+      cnet, 0, token, {{net.PlaceByName("hdr_in"), 1}, {net.PlaceByName("vld_in"), 20}});
+  EXPECT_EQ(key.size(), 8u + 4u + 2u * 8u + 2u * 8u);
+  const std::size_t text_key = 16 + std::string("\x1f" "bits=123456").size() +
+                               std::string("\x1f" "blocks=8").size() +
+                               std::string("\x1f@0:1").size() + std::string("\x1f@2:20").size();
+  EXPECT_LT(key.size(), text_key);
 }
 
 TEST(PnetMemo, LookupRespectsFiringBudget) {

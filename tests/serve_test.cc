@@ -1852,6 +1852,33 @@ TEST(PredictionService, OutOfRangeDelayIsAnErrorNotAnAbort) {
   }
 }
 
+// bits=0 makes vld's delay divide by zero. The simulator used to evaluate
+// compiled delays unchecked, so this query aborted the process with or
+// without the memo. It answers ERROR naming the failure and the transition,
+// and nothing is memoized or cached.
+TEST(PredictionService, FailingDelayExpressionIsAnErrorNotAnAbort) {
+  for (const bool memo : {true, false}) {
+    PnetMemoTable::Global().Clear();
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.enable_pnet_memo = memo;
+    PredictionService service(InterfaceRegistry::Default(), options);
+    for (const char* entry : {"hdr_in:1,vld_in:1", "hdr_in:1,vld_in:8"}) {
+      PredictRequest req = PnetRequest("jpeg_decoder", entry);
+      req.attrs = {{"bits", 0.0}, {"blocks", 8.0}};
+      for (int round = 0; round < 2; ++round) {
+        const PredictResponse r = service.Predict(req);
+        EXPECT_EQ(r.status, PredictStatus::kError) << entry << " memo " << memo;
+        EXPECT_EQ(r.error, "division by zero in delay of transition 'vld'");
+        EXPECT_FALSE(r.cache_hit);
+      }
+    }
+    EXPECT_EQ(service.cache().size(), 0u);
+    EXPECT_EQ(PnetMemoTable::Global().size(), 0u);
+    EXPECT_TRUE(service.Predict(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8")).ok());
+  }
+}
+
 TEST(PredictionServiceAdmission, TenantExcludedFromCacheKeyButEchoed) {
   PredictRequest first = JpegRequest(65536, 0.2);
   first.tenant = "alpha";

@@ -202,9 +202,7 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
   }
 
   for (const Injection& inj : injections) {
-    for (std::size_t k = 0; k < inj.count; ++k) {
-      sim.Inject(inj.place, inj.token);
-    }
+    sim.Inject(inj.place, inj.token, inj.count);
   }
   if (!trace_path.empty()) {
     obs::Tracer::Global().Start();
@@ -221,9 +219,14 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
   if (metrics) {
     std::fputs(obs::MetricsRegistry::Global().RenderPrometheus().c_str(), stdout);
   }
-  std::printf("%s at t=%llu after %llu firings\n", quiesced ? "quiesced" : "stopped",
+  const char* why = !sim.expr_error().empty() ? sim.expr_error().c_str()
+                    : sim.delay_out_of_range()   ? "delay out of range"
+                    : sim.firing_budget_exhausted() ? "firing budget exhausted"
+                                                    : "";
+  std::printf("%s at t=%llu after %llu firings%s%s%s\n", quiesced ? "quiesced" : "stopped",
               static_cast<unsigned long long>(sim.now()),
-              static_cast<unsigned long long>(sim.total_firings()));
+              static_cast<unsigned long long>(sim.total_firings()), *why != '\0' ? " (" : "", why,
+              *why != '\0' ? ")" : "");
   for (PlaceId p : observed) {
     const auto& log = sim.arrivals(p);
     std::printf("place %s: %zu arrivals", loaded.net->places()[p].name.c_str(), log.size());

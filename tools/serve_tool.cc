@@ -7,7 +7,9 @@
 //   serve_tool run <query-file> [options]
 //       batch-execute a query file: one query per line,
 //           <interface> <function|-> [k=v ...]
-//       '#' starts a comment; blank lines are skipped
+//       '#' starts a comment; blank lines are skipped. In both forms
+//       children=N sets the uniform child count and entry=SPEC the pnet
+//       injection plan (same grammar as --entry, which it overrides).
 //
 // Options:
 //   --rep program|pnet     force a representation (default: auto)
@@ -451,7 +453,9 @@ void PrintClientLatency(std::vector<double>* latencies_us) {
 }
 
 // Parses "<interface> <function|-> [k=v ...]" into a request; options are
-// handled by the caller. Returns false on malformed input.
+// handled by the caller. Two keys are fields, not attributes: children=N
+// and entry=SPEC (the pnet injection plan, overriding --entry). Returns
+// false on malformed input.
 bool ParseQueryWords(const std::vector<std::string>& words, PredictRequest* req) {
   if (words.size() < 2) {
     return false;
@@ -469,7 +473,9 @@ bool ParseQueryWords(const std::vector<std::string>& words, PredictRequest* req)
     }
     const std::string key = words[i].substr(0, eq);
     const double value = std::atof(words[i].c_str() + eq + 1);
-    if (key == "children") {
+    if (key == "entry") {
+      req->entry_place = words[i].substr(eq + 1);
+    } else if (key == "children") {
       req->children = static_cast<int>(value);
     } else {
       req->attrs.emplace_back(key, value);
